@@ -240,9 +240,10 @@ TEST(VerifyPlansHook, Mode1WarnsButConstructs) {
                            parlooper::Backend::kInterpreter,
                            everyone_writes_zero);
   ::unsetenv("PLT_VERIFY_PLANS");
-  int count = 0;
-  nest([&](const std::int64_t*) { ++count; });
-  EXPECT_EQ(count, 17);
+  // The nest runs its iterations across the team: count atomically.
+  std::atomic<int> count{0};
+  nest([&](const std::int64_t*) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 17);
 }
 
 TEST(VerifyPlansHook, Mode2PassesCleanPlans) {
@@ -252,9 +253,10 @@ TEST(VerifyPlansHook, Mode2PassesCleanPlans) {
   parlooper::LoopNest nest({LoopSpecs{0, 19, 1}, LoopSpecs{0, 3, 1}}, "Ab",
                            parlooper::Backend::kInterpreter, per_owner);
   ::unsetenv("PLT_VERIFY_PLANS");
-  int count = 0;
-  nest([&](const std::int64_t*) { ++count; });
-  EXPECT_EQ(count, 57);
+  // The nest runs its iterations across the team: count atomically.
+  std::atomic<int> count{0};
+  nest([&](const std::int64_t*) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 57);
 }
 
 // --- report plumbing ---------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -237,21 +238,32 @@ TEST(PartitionedPool, WholeTeamResultsBitwiseIdenticalAcrossPartitionCounts) {
 
 TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
   // Two driver threads dispatch onto partitions 0 and 1 at the same time;
-  // both regions must run on their own sub-team (not degrade), and each
-  // must observe the other in flight at least once — proof the partitions
-  // do not serialize on a global dispatch lock.
+  // both regions must run on their own sub-team (not degrade), and every rep
+  // is a rendezvous: tid 0 of each partition's region announces its arrival,
+  // then waits inside the region until the other partition's region of the
+  // same rep has arrived too. Both sides can only get past that wait while
+  // both regions are in flight, so a run_on() that serialized partitions
+  // (say, on a global dispatch lock) can never complete a rendezvous. That
+  // holds on any core count: the waits yield, so time-slicing makes progress.
   ThreadPool pool(4, /*pin=*/false, /*partitions=*/2);
   ASSERT_EQ(pool.partition_size(0), 2);
   ASSERT_EQ(pool.partition_size(1), 2);
   struct Ctx {
     ThreadPool* pool;
-    std::atomic<int> active[2];
-    std::atomic<int> overlapped{0};
+    // Deadlock guard, not a tolerance: a serialized run_on() would wait
+    // forever, and the deadline turns that hang into a failure. A correct
+    // pool completes each rendezvous as soon as both sides are scheduled.
+    std::chrono::steady_clock::time_point deadline;
+    std::atomic<int> arrived[2];  // last rep (1-based) whose region arrived
+    std::atomic<int> met[2];      // rendezvous completed, per side
     std::atomic<int> ran[2];
+    std::atomic<bool> timed_out{false};
     std::atomic<bool> go{false};
   } ctx;
   ctx.pool = &pool;
-  for (auto& a : ctx.active) a.store(0);
+  ctx.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (auto& a : ctx.arrived) a.store(0);
+  for (auto& m : ctx.met) m.store(0);
   for (auto& r : ctx.ran) r.store(0);
 
   const auto driver = [&ctx](int part) {
@@ -259,25 +271,36 @@ TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
     struct Arg {
       Ctx* ctx;
       int part;
-    } arg{&ctx, part};
+      int rep;
+    } arg{&ctx, part, 0};
     for (int rep = 0; rep < 50; ++rep) {
+      arg.rep = rep;
       const bool on_team = ctx.pool->run_on(
           part,
           [](void* c, int tid, int nthreads) {
             auto* a = static_cast<Arg*>(c);
-            a->ctx->ran[a->part].fetch_add(1);
+            Ctx& x = *a->ctx;
+            x.ran[a->part].fetch_add(1);
             if (tid == 0) {
-              a->ctx->active[a->part].store(1, std::memory_order_release);
-              if (a->ctx->active[1 - a->part].load(
-                      std::memory_order_acquire) != 0) {
-                a->ctx->overlapped.fetch_add(1);
+              x.arrived[a->part].store(a->rep + 1, std::memory_order_release);
+              // After one timeout every later wait is skipped: the pool is
+              // already known to serialize, and a serialized peer would
+              // otherwise see this side's *earlier* arrivals and count them.
+              while (!x.timed_out.load(std::memory_order_acquire)) {
+                if (x.arrived[1 - a->part].load(std::memory_order_acquire) >=
+                    a->rep + 1) {
+                  x.met[a->part].fetch_add(1);
+                  break;
+                }
+                if (std::chrono::steady_clock::now() > x.deadline) {
+                  x.timed_out.store(true, std::memory_order_release);
+                  break;
+                }
+                std::this_thread::yield();
               }
             }
             a->ctx->pool->barrier(tid);
             EXPECT_EQ(nthreads, 2);
-            if (tid == 0) {
-              a->ctx->active[a->part].store(0, std::memory_order_release);
-            }
           },
           &arg);
       EXPECT_TRUE(on_team) << "partition " << part << " rep " << rep;
@@ -290,13 +313,12 @@ TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
   // Every region ran on a 2-member sub-team: 50 reps x 2 members each.
   EXPECT_EQ(ctx.ran[0].load(), 100);
   EXPECT_EQ(ctx.ran[1].load(), 100);
-  // With enough real cores for both sub-teams, 50 reps per side must
-  // overlap at least once — a global dispatch lock serializing run_on()
-  // would keep this at 0. (Single-core machines time-slice; overlap is
-  // then possible but not guaranteed, so the assertion is gated.)
-  if (std::thread::hardware_concurrency() >= 4) {
-    EXPECT_GT(ctx.overlapped.load(), 0);
-  }
+  // Every rep of each side met its peer in flight, and none gave up waiting.
+  // The counts only prove concurrency together with the no-timeout check.
+  EXPECT_FALSE(ctx.timed_out.load())
+      << "a rendezvous timed out: run_on() serialized the partitions";
+  EXPECT_EQ(ctx.met[0].load(), 50);
+  EXPECT_EQ(ctx.met[1].load(), 50);
   const auto stats = pool.stats();
   EXPECT_EQ(stats.partition[0].regions, 50u);
   EXPECT_EQ(stats.partition[1].regions, 50u);
