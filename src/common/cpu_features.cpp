@@ -4,10 +4,15 @@
 #include <thread>
 
 #include "common/env.hpp"
+#include "common/log.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
 #define PLT_X86 1
+#endif
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
 
 namespace plt {
@@ -26,12 +31,19 @@ CpuFeatures detect() {
     f.avx512bw = (ebx >> 30) & 1;
     f.avx512vl = (ebx >> 31) & 1;
     f.amx_bf16 = (edx >> 22) & 1;
+    f.amx_tile = (edx >> 24) & 1;
   }
   if (__get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx)) {
     f.avx512_bf16 = (eax >> 5) & 1;
   }
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
     f.fma = (ecx >> 12) & 1;
+    const bool osxsave = (ecx >> 27) & 1;
+    if (osxsave && f.amx_tile) {
+      unsigned int xcr0_lo = 0, xcr0_hi = 0;
+      __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+      f.amx_os = ((xcr0_lo >> 17) & 3u) == 3u;
+    }
   }
   // Brand string (leaves 0x80000002..4).
   unsigned int brand[12] = {};
@@ -47,6 +59,18 @@ CpuFeatures detect() {
   }
 #endif
   return f;
+}
+
+// Linux keeps the 8 KiB tile-data state off until a process asks for it;
+// the first tile instruction without the permission raises SIGILL.
+bool request_amx_permission() {
+#if defined(PLT_X86) && defined(__linux__) && defined(SYS_arch_prctl)
+  constexpr long kArchReqXcompPerm = 0x1023;
+  constexpr long kXfeatureXtiledata = 18;
+  return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+#else
+  return false;
+#endif
 }
 
 }  // namespace
@@ -68,6 +92,10 @@ IsaLevel effective_isa() {
       best = IsaLevel::kAVX512;
     if (best == IsaLevel::kAVX512 && f.avx512_bf16) best = IsaLevel::kAVX512BF16;
 #endif
+#if defined(PLT_KERNELS_AMX)
+    if (best == IsaLevel::kAVX512BF16 && f.amx_bf16 && f.amx_tile && f.amx_os)
+      best = IsaLevel::kAMX;
+#endif
     const std::string s = common::env_enum(
         "PLT_ISA", "", {"scalar", "avx2", "avx512", "avx512_bf16"});
     if (!s.empty()) {
@@ -77,6 +105,11 @@ IsaLevel effective_isa() {
       else if (s == "avx512") cap = IsaLevel::kAVX512;
       else if (s == "avx512_bf16") cap = IsaLevel::kAVX512BF16;
       if (static_cast<int>(cap) < static_cast<int>(best)) best = cap;
+    }
+    if (best == IsaLevel::kAMX && !request_amx_permission()) {
+      PLT_LOG_WARN << "cpu_features: the kernel refused the AMX tile-data "
+                      "permission; using the vdpbf16ps kernels";
+      best = IsaLevel::kAVX512BF16;
     }
     return best;
   }();
@@ -89,6 +122,7 @@ const char* isa_name(IsaLevel l) {
     case IsaLevel::kAVX2: return "avx2";
     case IsaLevel::kAVX512: return "avx512";
     case IsaLevel::kAVX512BF16: return "avx512_bf16";
+    case IsaLevel::kAMX: return "amx";
   }
   return "?";
 }

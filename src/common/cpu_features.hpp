@@ -5,7 +5,8 @@
 // compiled into per-ISA translation units and selected at runtime from the
 // CPUID feature set. The selection can be narrowed with the
 // PLT_ISA environment variable ("scalar", "avx2", "avx512", "avx512_bf16")
-// which is how tests pin the reference path.
+// which is how tests pin the reference path; "avx512_bf16" keeps the
+// vdpbf16ps kernels and disables the AMX tiles.
 #pragma once
 
 #include <string>
@@ -17,6 +18,7 @@ enum class IsaLevel : int {
   kAVX2 = 1,         // AVX2 + FMA
   kAVX512 = 2,       // F + BW + VL + DQ
   kAVX512BF16 = 3,   // AVX-512 with BF16 dot-product support
+  kAMX = 4,          // AVX-512 BF16 plus AMX-TILE/AMX-BF16, OS-enabled
 };
 
 struct CpuFeatures {
@@ -27,7 +29,9 @@ struct CpuFeatures {
   bool avx512vl = false;
   bool avx512dq = false;
   bool avx512_bf16 = false;
-  bool amx_bf16 = false;   // detected but not targeted (see DESIGN.md)
+  bool amx_bf16 = false;   // CPUID.7.0:EDX[22]
+  bool amx_tile = false;   // CPUID.7.0:EDX[24]
+  bool amx_os = false;     // XCR0 bits 17 (XTILECFG) and 18 (XTILEDATA) set
   int logical_cores = 1;
   std::string brand;
 };
@@ -37,6 +41,9 @@ const CpuFeatures& cpu_features();
 
 // Highest ISA level this build can actually run, after applying the
 // PLT_ISA environment override (useful to force the scalar reference).
+// Resolving kAMX requests the XTILEDATA permission from the kernel once
+// (arch_prctl ARCH_REQ_XCOMP_PERM); if that fails it logs once and resolves
+// to kAVX512BF16.
 IsaLevel effective_isa();
 
 const char* isa_name(IsaLevel l);

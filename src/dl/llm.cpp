@@ -261,4 +261,13 @@ double LlmModel::prefill_flops(std::int64_t seq) const {
   return per_layer * static_cast<double>(cfg_.layers);
 }
 
+double LlmModel::decode_flops(std::int64_t pos) const {
+  const double h = static_cast<double>(cfg_.hidden);
+  const double len = static_cast<double>(pos + 1);
+  const double per_layer = 2.0 * h * h * 4.0 +                    // q,k,v,o
+                           2.0 * h * cfg_.ffn * 2.0 +             // up, down
+                           4.0 * len * h;                         // attention
+  return per_layer * static_cast<double>(cfg_.layers);
+}
+
 }  // namespace plt::dl

@@ -76,6 +76,12 @@ class LlmModel {
 
   const LlmConfig& config() const { return cfg_; }
   double prefill_flops(std::int64_t seq) const;
+  // One generated token at cache position `pos` (positions [0, pos]
+  // visible): the same projections and MLP as one prefill token plus
+  // attention over pos + 1 cached keys and values, so the count grows
+  // linearly with the KV position. Like prefill_flops, the LM head is not
+  // counted.
+  double decode_flops(std::int64_t pos) const;
 
  private:
   LlmConfig cfg_;

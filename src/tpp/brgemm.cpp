@@ -1,59 +1,63 @@
 #include "tpp/brgemm.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/cpu_features.hpp"
 
 namespace plt::tpp {
 
 namespace {
 
-detail::F32Micro pick_f32_micro() {
-  switch (effective_isa()) {
+struct Pick {
+  detail::Micro fn;
+  IsaLevel isa;
+};
+
+Pick pick_f32([[maybe_unused]] IsaLevel isa) {
 #if defined(PLT_KERNELS_AVX512)
-    case IsaLevel::kAVX512BF16:
-    case IsaLevel::kAVX512:
-      return detail::gemm_f32_avx512;
+  if (isa >= IsaLevel::kAVX512)
+    return {detail::gemm_f32_avx512, IsaLevel::kAVX512};
 #endif
 #if defined(PLT_KERNELS_AVX2)
-    case IsaLevel::kAVX2:
-      return detail::gemm_f32_avx2;
+  if (isa >= IsaLevel::kAVX2) return {detail::gemm_f32_avx2, IsaLevel::kAVX2};
 #endif
-    default:
-      return detail::gemm_f32_ref;
-  }
+  return {detail::gemm_f32_ref, IsaLevel::kScalar};
 }
 
-detail::Bf16Micro pick_bf16_vnni_micro() {
-  switch (effective_isa()) {
+// The choice depends on the dtypes, the layout, m and k only, never on n.
+Pick pick_bf16_vnni([[maybe_unused]] IsaLevel isa,
+                    [[maybe_unused]] std::int64_t m,
+                    [[maybe_unused]] std::int64_t k) {
+#if defined(PLT_KERNELS_AMX)
+  if (isa >= IsaLevel::kAMX && detail::amx_eligible(m, k))
+    return {detail::gemm_bf16_vnni_amx, IsaLevel::kAMX};
+#endif
 #if defined(PLT_KERNELS_AVX512BF16)
-    case IsaLevel::kAVX512BF16:
-      return detail::gemm_bf16_vnni_avx512bf16;
+  if (isa >= IsaLevel::kAVX512BF16)
+    return {detail::gemm_bf16_vnni_avx512bf16, IsaLevel::kAVX512BF16};
 #endif
 #if defined(PLT_KERNELS_AVX512)
-    case IsaLevel::kAVX512:
-#if !defined(PLT_KERNELS_AVX512BF16)
-    case IsaLevel::kAVX512BF16:
+  if (isa >= IsaLevel::kAVX512)
+    return {detail::gemm_bf16_vnni_avx512, IsaLevel::kAVX512};
 #endif
-      return detail::gemm_bf16_vnni_avx512;
-#endif
-    default:
-      return detail::gemm_bf16_vnni_ref;
-  }
+  return {detail::gemm_bf16_vnni_ref, IsaLevel::kScalar};
 }
 
-// Per-thread fp32 scratch tile used when C is stored in bf16.
-float* scratch_tile(std::size_t elems) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < elems) buf.resize(elems);
+// Per-thread address list (A pointers, then B pointers) that the stride and
+// offset variants fill for the microkernel.
+const void** address_list(std::int64_t brcount) {
+  thread_local std::vector<const void*> buf;
+  const auto need =
+      static_cast<std::size_t>(std::max<std::int64_t>(brcount, 0) * 2);
+  if (buf.size() < need) buf.resize(need);
   return buf.data();
 }
 
 }  // namespace
 
-BrgemmTPP::BrgemmTPP(BrgemmDesc desc) : desc_(desc) {
+BrgemmTPP::BrgemmTPP(BrgemmDesc desc, IsaLevel isa) : desc_(desc) {
   PLT_CHECK(desc_.m > 0 && desc_.n > 0 && desc_.k > 0, "brgemm: empty shape");
   PLT_CHECK(desc_.beta == 0.0f || desc_.beta == 1.0f,
             "brgemm: beta must be 0 or 1");
@@ -65,15 +69,20 @@ BrgemmTPP::BrgemmTPP(BrgemmDesc desc) : desc_(desc) {
   const bool bf16_in = desc_.a == DType::BF16 && desc_.b == DType::BF16 &&
                        (desc_.c == DType::F32 || desc_.c == DType::BF16);
   PLT_CHECK(f32_all || bf16_in, "brgemm: unsupported dtype combination");
+  isa = std::min(isa, effective_isa());
+  Pick pick{detail::gemm_bf16_flat_ref, IsaLevel::kScalar};
   if (f32_all) {
     PLT_CHECK(desc_.a_layout == ALayout::kFlat,
               "brgemm: VNNI layout is a low-precision feature");
-    f32_micro_ = pick_f32_micro();
-  } else {
-    bf16_micro_ = desc_.a_layout == ALayout::kVnni2
-                      ? pick_bf16_vnni_micro()
-                      : detail::gemm_bf16_flat_ref;
+    pick = pick_f32(isa);
+  } else if (desc_.a_layout == ALayout::kVnni2) {
+    pick = pick_bf16_vnni(isa, desc_.m, desc_.k);
   }
+  micro_ = pick.fn;
+  isa_ = pick.isa;
+#if defined(PLT_KERNELS_AMX)
+  if (isa_ == IsaLevel::kAMX) amx_ = detail::make_amx_plan(desc_.n, desc_.k);
+#endif
 }
 
 BrgemmTPP::BrgemmTPP(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -83,67 +92,23 @@ BrgemmTPP::BrgemmTPP(std::int64_t m, std::int64_t n, std::int64_t k,
                            BrgemmVariant::kStride, a_layout, stride_a,
                            stride_b}) {}
 
-template <typename NextA, typename NextB>
-void BrgemmTPP::run_generic(NextA&& next_a, NextB&& next_b, void* c,
-                            std::int64_t brcount) const {
-  const detail::MicroArgs args{desc_.m, desc_.n, desc_.k,
-                               desc_.lda, desc_.ldb, desc_.ldc};
-  const bool c_is_bf16 = desc_.c == DType::BF16;
-
+void BrgemmTPP::run_lists(const void* const* a, const void* const* b,
+                          void* c, std::int64_t brcount) const {
   if (brcount <= 0) {
     if (desc_.beta == 0.0f) {
       // libxsmm semantics: beta=0 with an empty batch still zeroes C.
-      if (c_is_bf16) {
-        bf16* cp = static_cast<bf16*>(c);
-        for (std::int64_t j = 0; j < desc_.n; ++j)
-          std::memset(static_cast<void*>(cp + j * desc_.ldc), 0,
-                      sizeof(bf16) * desc_.m);
-      } else {
-        float* cp = static_cast<float*>(c);
-        for (std::int64_t j = 0; j < desc_.n; ++j)
-          std::memset(cp + j * desc_.ldc, 0, sizeof(float) * desc_.m);
-      }
+      const std::size_t esz = dtype_size(desc_.c);
+      char* cp = static_cast<char*>(c);
+      for (std::int64_t j = 0; j < desc_.n; ++j)
+        std::memset(cp + static_cast<std::size_t>(j * desc_.ldc) * esz, 0,
+                    static_cast<std::size_t>(desc_.m) * esz);
     }
     return;
   }
-
-  float* cacc = nullptr;
-  std::int64_t ldc_acc = desc_.ldc;
-  if (c_is_bf16) {
-    cacc = scratch_tile(static_cast<std::size_t>(desc_.m) * desc_.n);
-    ldc_acc = desc_.m;
-    const bf16* cp = static_cast<const bf16*>(c);
-    if (desc_.beta == 1.0f) {
-      for (std::int64_t j = 0; j < desc_.n; ++j)
-        for (std::int64_t i = 0; i < desc_.m; ++i)
-          cacc[i + j * ldc_acc] = cp[i + j * desc_.ldc].to_f32();
-    }
-  } else {
-    cacc = static_cast<float*>(c);
-  }
-
-  detail::MicroArgs acc_args = args;
-  acc_args.ldc = ldc_acc;
-
-  for (std::int64_t i = 0; i < brcount; ++i) {
-    // The first term overwrites when beta==0 (for bf16 C the scratch tile is
-    // only pre-seeded when beta==1, so the same rule applies to it).
-    const bool acc = (i > 0) || desc_.beta == 1.0f;
-    if (f32_micro_ != nullptr) {
-      f32_micro_(acc_args, static_cast<const float*>(next_a(i)),
-                 static_cast<const float*>(next_b(i)), cacc, acc);
-    } else {
-      bf16_micro_(acc_args, static_cast<const bf16*>(next_a(i)),
-                  static_cast<const bf16*>(next_b(i)), cacc, acc);
-    }
-  }
-
-  if (c_is_bf16) {
-    bf16* cp = static_cast<bf16*>(c);
-    for (std::int64_t j = 0; j < desc_.n; ++j)
-      for (std::int64_t i = 0; i < desc_.m; ++i)
-        cp[i + j * desc_.ldc] = bf16::from_f32(cacc[i + j * ldc_acc]);
-  }
+  const detail::MicroArgs args{desc_.m,   desc_.n,   desc_.k,
+                               desc_.lda, desc_.ldb, desc_.ldc,
+                               desc_.c == DType::BF16, &amx_};
+  micro_(args, a, b, brcount, c, desc_.beta == 1.0f);
 }
 
 void BrgemmTPP::operator()(const void* a, const void* b, void* c,
@@ -154,20 +119,18 @@ void BrgemmTPP::operator()(const void* a, const void* b, void* c,
   const std::size_t esz_b = dtype_size(desc_.b);
   const char* ap = static_cast<const char*>(a);
   const char* bp = static_cast<const char*>(b);
-  run_generic(
-      [&](std::int64_t i) -> const void* {
-        return ap + static_cast<std::size_t>(i) * desc_.stride_a * esz_a;
-      },
-      [&](std::int64_t i) -> const void* {
-        return bp + static_cast<std::size_t>(i) * desc_.stride_b * esz_b;
-      },
-      c, brcount);
+  const void** list = address_list(brcount);
+  for (std::int64_t i = 0; i < brcount; ++i) {
+    list[i] = ap + static_cast<std::size_t>(i * desc_.stride_a) * esz_a;
+    list[brcount + i] =
+        bp + static_cast<std::size_t>(i * desc_.stride_b) * esz_b;
+  }
+  run_lists(list, list + brcount, c, brcount);
 }
 
 void BrgemmTPP::run_address(const void* const* a, const void* const* b,
                             void* c, std::int64_t brcount) const {
-  run_generic([&](std::int64_t i) { return a[i]; },
-              [&](std::int64_t i) { return b[i]; }, c, brcount);
+  run_lists(a, b, c, brcount);
 }
 
 void BrgemmTPP::run_offset(const void* a, const void* b, void* c,
@@ -178,14 +141,12 @@ void BrgemmTPP::run_offset(const void* a, const void* b, void* c,
   const std::size_t esz_b = dtype_size(desc_.b);
   const char* ap = static_cast<const char*>(a);
   const char* bp = static_cast<const char*>(b);
-  run_generic(
-      [&](std::int64_t i) -> const void* {
-        return ap + static_cast<std::size_t>(offs_a[i]) * esz_a;
-      },
-      [&](std::int64_t i) -> const void* {
-        return bp + static_cast<std::size_t>(offs_b[i]) * esz_b;
-      },
-      c, brcount);
+  const void** list = address_list(brcount);
+  for (std::int64_t i = 0; i < brcount; ++i) {
+    list[i] = ap + static_cast<std::size_t>(offs_a[i]) * esz_a;
+    list[brcount + i] = bp + static_cast<std::size_t>(offs_b[i]) * esz_b;
+  }
+  run_lists(list, list + brcount, c, brcount);
 }
 
 GemmTPP::GemmTPP(std::int64_t m, std::int64_t n, std::int64_t k, float beta,

@@ -4,14 +4,16 @@
 //   C = beta * C + sum_{i=0}^{brcount-1} A_i x B_i
 //
 // with the three address-generation variants of the paper: stride-based,
-// address-based and offset-based. bf16 inputs accumulate in fp32; when C is
-// stored in bf16 a per-thread fp32 scratch tile carries the accumulation
-// across the whole batch and is converted once at the end.
+// address-based and offset-based. Every variant hands the microkernel the
+// whole batch as an address list, and the microkernel reduces it in
+// registers (or AMX tiles): C is read once and written once per call. bf16
+// inputs accumulate in fp32; a bf16 C is rounded once, at the final store.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "common/cpu_features.hpp"
 #include "tpp/gemm_micro.hpp"
 #include "tpp/tpp_types.hpp"
 
@@ -19,7 +21,9 @@ namespace plt::tpp {
 
 class BrgemmTPP {
  public:
-  explicit BrgemmTPP(BrgemmDesc desc);
+  // Builds the kernel for the highest ISA level <= `isa` (capped at
+  // effective_isa()) that has one for this descriptor.
+  explicit BrgemmTPP(BrgemmDesc desc, IsaLevel isa = effective_isa());
 
   // Convenience constructor for the stride-based variant (Listing 1 usage).
   BrgemmTPP(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -41,19 +45,22 @@ class BrgemmTPP {
                   std::int64_t brcount) const;
 
   const BrgemmDesc& desc() const { return desc_; }
+  // ISA level of the dispatched kernel (kAMX only for AMX-eligible bf16
+  // VNNI shapes; see detail::amx_eligible).
+  IsaLevel kernel_isa() const { return isa_; }
   double flops(std::int64_t brcount) const {
     return GemmFlops::of(desc_.m, desc_.n, desc_.k) *
            static_cast<double>(brcount);
   }
 
  private:
-  template <typename NextA, typename NextB>
-  void run_generic(NextA&& next_a, NextB&& next_b, void* c,
-                   std::int64_t brcount) const;
+  void run_lists(const void* const* a, const void* const* b, void* c,
+                 std::int64_t brcount) const;
 
   BrgemmDesc desc_;
-  detail::F32Micro f32_micro_ = nullptr;
-  detail::Bf16Micro bf16_micro_ = nullptr;
+  detail::Micro micro_ = nullptr;
+  IsaLevel isa_ = IsaLevel::kScalar;
+  detail::AmxPlan amx_;
 };
 
 // Plain GEMM TPP: C = beta * C + A x B. Thin wrapper over a brcount=1

@@ -1,108 +1,89 @@
 // AVX-512 fp32 and bf16-VNNI microkernels. Compiled with
 // -mavx512f/bw/vl/dq (see CMakeLists); only referenced when CPUID agrees.
 //
-// fp32: 16-wide m vectors x 4 n accumulators with masked m tails.
-// bf16-VNNI: A packed [k/2][m][2]; pairs of k are consumed per FMA. The
-// upconvert path (gemm_bf16_vnni_avx512) widens bf16 to fp32 in registers so
-// it runs on any AVX-512 machine; gemm_bf16_vnni_avx512bf16 (separate TU)
-// uses the native vdpbf16ps dot-product.
-#include "tpp/gemm_micro.hpp"
+// Both instantiate the register-blocked template of gemm_template.hpp with
+// 2 zmm of m x 8 columns of n accumulators. The bf16 kernel widens the
+// VNNI2-packed A pairs to fp32 in registers (two FMAs per k pair) so it runs
+// on any AVX-512 machine; gemm_bf16_vnni_avx512bf16 (separate TU) uses the
+// native vdpbf16ps dot-product.
+#include <cstring>
 
-#include <immintrin.h>
+#include "tpp/gemm_template.hpp"
 
 namespace plt::tpp::detail {
 
 namespace {
 
-template <int NB>
-void block_n_f32(const MicroArgs& s, const float* a, const float* b, float* c,
-                 bool acc, std::int64_t j0) {
-  for (std::int64_t i = 0; i < s.m; i += 16) {
-    const std::int64_t rem = s.m - i;
-    const __mmask16 mask = rem >= 16 ? 0xffffu
-                                     : static_cast<__mmask16>((1u << rem) - 1u);
-    __m512 accv[NB];
-    for (int jj = 0; jj < NB; ++jj) {
-      accv[jj] = acc ? _mm512_maskz_loadu_ps(mask, c + i + (j0 + jj) * s.ldc)
-                     : _mm512_setzero_ps();
-    }
-    for (std::int64_t kk = 0; kk < s.k; ++kk) {
-      const __m512 av = _mm512_maskz_loadu_ps(mask, a + i + kk * s.lda);
-      for (int jj = 0; jj < NB; ++jj) {
-        const __m512 bv = _mm512_set1_ps(b[kk + (j0 + jj) * s.ldb]);
-        accv[jj] = _mm512_fmadd_ps(av, bv, accv[jj]);
-      }
-    }
-    for (int jj = 0; jj < NB; ++jj) {
-      _mm512_mask_storeu_ps(c + i + (j0 + jj) * s.ldc, mask, accv[jj]);
-    }
-  }
-}
+struct Avx512F32 : Avx512Io {
+  using AElem = float;
+  using AOp = __m512;
+  using BOp = __m512;
+  static constexpr int kNB = 12;
+  static constexpr int kKStep = 1;
 
-// Widens the even/odd bf16 elements of a [m][2]-packed 32-lane vector into
-// two fp32 vectors. Element layout in memory: m0k0 m0k1 m1k0 m1k1 ...
-inline void widen_pairs(__m512i packed, __m512& even, __m512& odd) {
-  // even lanes: bf16 at 16-bit positions 0,2,4,... -> shift left 16 into the
-  // high half of each 32-bit lane (bf16 is the top 16 bits of fp32).
-  even = _mm512_castsi512_ps(_mm512_slli_epi32(packed, 16));
-  odd = _mm512_castsi512_ps(
-      _mm512_and_si512(packed, _mm512_set1_epi32(0xffff0000)));
-}
+  template <bool Full>
+  static AOp load_a(const float* a, std::int64_t lda, std::int64_t kk,
+                    std::int64_t i, Mask m) {
+    return load_c<Full>(a + i + kk * lda, m);
+  }
+  static BOp bcast_b(const float* bj, std::int64_t kk) {
+    return _mm512_set1_ps(bj[kk]);
+  }
+  static void fma(Vec& acc, AOp a, BOp b) { acc = _mm512_fmadd_ps(a, b, acc); }
+};
+
+// Splits 16 packed (k, k+1) bf16 pairs into their even and odd halves as
+// fp32 (bf16 is the top 16 bits of fp32).
+struct Pair {
+  __m512 even, odd;
+  Pair() = default;
+  explicit Pair(__m512i packed)
+      : even(_mm512_castsi512_ps(_mm512_slli_epi32(packed, 16))),
+        odd(_mm512_castsi512_ps(
+            _mm512_and_si512(packed, _mm512_set1_epi32(0xffff0000)))) {}
+};
+
+struct Avx512Bf16Widen : Avx512Io {
+  using AElem = bf16;
+  using AOp = Pair;
+  using BOp = Pair;
+  static constexpr int kNB = 8;
+  static constexpr int kKStep = 2;
+
+  template <bool Full>
+  static AOp load_a(const bf16* a, std::int64_t lda, std::int64_t p,
+                    std::int64_t i, Mask m) {
+    const bf16* src = a + (p * lda + i) * 2;
+    if constexpr (Full) return Pair(_mm512_loadu_si512(src));
+    return Pair(_mm512_maskz_loadu_epi32(m, src));
+  }
+  static BOp bcast_b(const bf16* bj, std::int64_t p) {
+    std::int32_t word;
+    std::memcpy(&word, bj + 2 * p, sizeof(word));
+    return Pair(_mm512_set1_epi32(word));
+  }
+  // Odd-k tail: the missing second element of the pair is zero.
+  static BOp bcast_b_tail(const bf16* bj, std::int64_t p) {
+    return Pair(_mm512_set1_epi32(static_cast<std::int32_t>(bj[2 * p].bits)));
+  }
+  static void fma(Vec& acc, const AOp& a, const BOp& b) {
+    acc = _mm512_fmadd_ps(a.even, b.even, acc);
+    acc = _mm512_fmadd_ps(a.odd, b.odd, acc);
+  }
+};
 
 }  // namespace
 
-void gemm_f32_avx512(const MicroArgs& s, const float* a, const float* b,
-                     float* c, bool acc) {
-  std::int64_t j = 0;
-  for (; j + 4 <= s.n; j += 4) block_n_f32<4>(s, a, b, c, acc, j);
-  for (; j + 2 <= s.n; j += 2) block_n_f32<2>(s, a, b, c, acc, j);
-  for (; j < s.n; ++j) block_n_f32<1>(s, a, b, c, acc, j);
+void gemm_f32_avx512(const MicroArgs& s, const void* const* a,
+                     const void* const* b, std::int64_t count, void* c,
+                     bool acc) {
+  brgemm_micro<Avx512F32>(s, a, b, count, c, acc);
 }
 
-namespace {
-
-// NB output columns share every A tile load/widen (2D register blocking).
-template <int NB>
-void block_n_bf16(const MicroArgs& s, const bf16* a, const bf16* b, float* c,
-                  bool acc, std::int64_t j0) {
-  const std::int64_t kp = (s.k + 1) / 2;
-  for (std::int64_t i = 0; i < s.m; i += 16) {
-    const std::int64_t rem = s.m - i;
-    const __mmask16 mask =
-        rem >= 16 ? 0xffffu : static_cast<__mmask16>((1u << rem) - 1u);
-    __m512 accv[NB];
-    for (int jj = 0; jj < NB; ++jj) {
-      accv[jj] = acc ? _mm512_maskz_loadu_ps(mask, c + i + (j0 + jj) * s.ldc)
-                     : _mm512_setzero_ps();
-    }
-    for (std::int64_t p = 0; p < kp; ++p) {
-      // 16 m-elements x 2 k-values = 32 bf16 = 16 x 32-bit granules.
-      const __m512i packed = _mm512_maskz_loadu_epi32(
-          mask, reinterpret_cast<const std::int32_t*>(a + (p * s.lda + i) * 2));
-      __m512 a_even, a_odd;
-      widen_pairs(packed, a_even, a_odd);
-      for (int jj = 0; jj < NB; ++jj) {
-        const bf16* bj = b + (j0 + jj) * s.ldb;
-        const float b0 = bj[2 * p].to_f32();
-        const float b1 = (2 * p + 1 < s.k) ? bj[2 * p + 1].to_f32() : 0.0f;
-        accv[jj] = _mm512_fmadd_ps(a_even, _mm512_set1_ps(b0), accv[jj]);
-        accv[jj] = _mm512_fmadd_ps(a_odd, _mm512_set1_ps(b1), accv[jj]);
-      }
-    }
-    for (int jj = 0; jj < NB; ++jj) {
-      _mm512_mask_storeu_ps(c + i + (j0 + jj) * s.ldc, mask, accv[jj]);
-    }
-  }
-}
-
-}  // namespace
-
-void gemm_bf16_vnni_avx512(const MicroArgs& s, const bf16* a, const bf16* b,
-                           float* c, bool acc) {
-  std::int64_t j = 0;
-  for (; j + 4 <= s.n; j += 4) block_n_bf16<4>(s, a, b, c, acc, j);
-  for (; j + 2 <= s.n; j += 2) block_n_bf16<2>(s, a, b, c, acc, j);
-  for (; j < s.n; ++j) block_n_bf16<1>(s, a, b, c, acc, j);
+void gemm_bf16_vnni_avx512(const MicroArgs& s, const void* const* a,
+                           const void* const* b, std::int64_t count, void* c,
+                           bool acc) {
+  brgemm_micro<Avx512Bf16Widen>(s, a, b, count, c, acc);
 }
 
 }  // namespace plt::tpp::detail

@@ -1,66 +1,53 @@
-// AVX-512-BF16 microkernel using the native vdpbf16ps dot-product — the
-// x86 "hardware-accelerated tensor contraction" path of the paper (the AMX
-// tile engine is substituted by this per DESIGN.md). Compiled with
-// -mavx512bf16; referenced only when CPUID reports the feature.
-#include "tpp/gemm_micro.hpp"
-
-#include <immintrin.h>
-
+// AVX-512-BF16 microkernel using the native vdpbf16ps dot-product: the
+// vector fallback of the AMX tile path (gemm_amx.cpp) for shapes the tiles
+// do not take, and the bf16 kernel on AVX-512-BF16 hosts without AMX.
+// Compiled with -mavx512bf16; referenced only when CPUID reports the
+// feature. Instantiates the template of gemm_template.hpp with 2 zmm of m x
+// 8 columns of n accumulators.
 #include <cstring>
+
+#include "tpp/gemm_template.hpp"
 
 namespace plt::tpp::detail {
 
 namespace {
 
-// Broadcast the (2p, 2p+1) bf16 pair of column j as one 32-bit granule. For
-// full pairs this is a single vpbroadcastd from memory; only the odd-k tail
-// pair needs assembly (its high half is zero-padded).
-inline __m512i broadcast_pair(const bf16* bj, std::int64_t p, std::int64_t k) {
-  if (2 * p + 1 < k) {
+struct Avx512Dp : Avx512Io {
+  using AElem = bf16;
+  using AOp = __m512i;  // 16 packed (k, k+1) pairs of A
+  using BOp = __m512i;  // one (k, k+1) pair of B broadcast
+  static constexpr int kNB = 12;
+  static constexpr int kKStep = 2;
+
+  template <bool Full>
+  static AOp load_a(const bf16* a, std::int64_t lda, std::int64_t p,
+                    std::int64_t i, Mask m) {
+    const bf16* src = a + (p * lda + i) * 2;
+    if constexpr (Full) return _mm512_loadu_si512(src);
+    return _mm512_maskz_loadu_epi32(m, src);
+  }
+  // A full pair is a single vpbroadcastd from memory.
+  static BOp bcast_b(const bf16* bj, std::int64_t p) {
     std::int32_t word;
     std::memcpy(&word, bj + 2 * p, sizeof(word));
     return _mm512_set1_epi32(word);
   }
-  return _mm512_set1_epi32(static_cast<std::int32_t>(bj[2 * p].bits));
-}
-
-// NB output columns share every A tile load (2D register blocking, [21]).
-template <int NB>
-void block_n(const MicroArgs& s, const bf16* a, const bf16* b, float* c,
-             bool acc, std::int64_t j0) {
-  const std::int64_t kp = (s.k + 1) / 2;
-  for (std::int64_t i = 0; i < s.m; i += 16) {
-    const std::int64_t rem = s.m - i;
-    const __mmask16 mask =
-        rem >= 16 ? 0xffffu : static_cast<__mmask16>((1u << rem) - 1u);
-    __m512 accv[NB];
-    for (int jj = 0; jj < NB; ++jj) {
-      accv[jj] = acc ? _mm512_maskz_loadu_ps(mask, c + i + (j0 + jj) * s.ldc)
-                     : _mm512_setzero_ps();
-    }
-    for (std::int64_t p = 0; p < kp; ++p) {
-      const __m512i packed = _mm512_maskz_loadu_epi32(
-          mask, reinterpret_cast<const std::int32_t*>(a + (p * s.lda + i) * 2));
-      for (int jj = 0; jj < NB; ++jj) {
-        const __m512i bv = broadcast_pair(b + (j0 + jj) * s.ldb, p, s.k);
-        accv[jj] = _mm512_dpbf16_ps(accv[jj], reinterpret_cast<__m512bh>(packed),
-                                    reinterpret_cast<__m512bh>(bv));
-      }
-    }
-    for (int jj = 0; jj < NB; ++jj) {
-      _mm512_mask_storeu_ps(c + i + (j0 + jj) * s.ldc, mask, accv[jj]);
-    }
+  // Odd-k tail: the high half of the pair is zero-padded.
+  static BOp bcast_b_tail(const bf16* bj, std::int64_t p) {
+    return _mm512_set1_epi32(static_cast<std::int32_t>(bj[2 * p].bits));
   }
-}
+  static void fma(Vec& acc, AOp a, BOp b) {
+    acc = _mm512_dpbf16_ps(acc, reinterpret_cast<__m512bh>(a),
+                           reinterpret_cast<__m512bh>(b));
+  }
+};
 
 }  // namespace
 
-void gemm_bf16_vnni_avx512bf16(const MicroArgs& s, const bf16* a,
-                               const bf16* b, float* c, bool acc) {
-  std::int64_t j = 0;
-  for (; j + 4 <= s.n; j += 4) block_n<4>(s, a, b, c, acc, j);
-  for (; j + 2 <= s.n; j += 2) block_n<2>(s, a, b, c, acc, j);
-  for (; j < s.n; ++j) block_n<1>(s, a, b, c, acc, j);
+void gemm_bf16_vnni_avx512bf16(const MicroArgs& s, const void* const* a,
+                               const void* const* b, std::int64_t count,
+                               void* c, bool acc) {
+  brgemm_micro<Avx512Dp>(s, a, b, count, c, acc);
 }
 
 }  // namespace plt::tpp::detail

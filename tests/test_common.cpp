@@ -129,6 +129,7 @@ TEST(CpuFeatures, ConsistentIsaSelection) {
   if (isa >= IsaLevel::kAVX2) EXPECT_TRUE(f.avx2 && f.fma);
   if (isa >= IsaLevel::kAVX512) EXPECT_TRUE(f.avx512f);
   if (isa >= IsaLevel::kAVX512BF16) EXPECT_TRUE(f.avx512_bf16);
+  if (isa >= IsaLevel::kAMX) EXPECT_TRUE(f.amx_bf16 && f.amx_tile && f.amx_os);
   EXPECT_GE(f.logical_cores, 1);
   EXPECT_STRNE(isa_name(isa), "?");
 }

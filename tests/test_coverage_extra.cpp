@@ -13,7 +13,6 @@
 #include "parlooper/jit_backend.hpp"
 #include "parlooper/threaded_loop.hpp"
 #include "test_utils.hpp"
-#include "common/timer.hpp"
 #include "tpp/brgemm.hpp"
 #include "tpp/transforms.hpp"
 
@@ -184,8 +183,10 @@ TEST(Llm, Bf16GenerationStaysFinite) {
 }
 
 TEST(Llm, LongerCacheCostsMorePerToken) {
-  // Decode cost grows with the visible cache length — the bandwidth-bound
-  // regime of Fig. 11's "next tokens" bar.
+  // Decode work grows with the visible cache length — the bandwidth-bound
+  // regime of Fig. 11's "next tokens" bar. The analytic count carries the
+  // claim; the wall-clock comparison (median of repeated trials after a
+  // warm-up) is the bench_fig11_llm "decode_cost_pos399_over_pos49" row.
   dl::LlmConfig cfg;
   cfg.hidden = 64;
   cfg.heads = 2;
@@ -194,21 +195,25 @@ TEST(Llm, LongerCacheCostsMorePerToken) {
   cfg.max_seq = 512;
   cfg.bm = cfg.bn = cfg.bk = 16;
   Xoshiro256 rng(13);
+  const dl::LlmModel model(cfg, rng);
+  // Position 399 attends to 350 more cached tokens than 49: 4*hidden flops
+  // each (q.k and p.v), in every layer.
+  EXPECT_GT(model.decode_flops(399), model.decode_flops(49));
+  EXPECT_DOUBLE_EQ(model.decode_flops(399) - model.decode_flops(49),
+                   4.0 * 64 * 350 * 2);
+
+  // Both positions decode against a filled cache.
   dl::DecoderLayer layer(cfg, rng);
-  std::vector<float> x(static_cast<std::size_t>(cfg.hidden), 0.1f);
-  std::vector<float> y(x.size());
-  // Fill positions [0, 400) then time decode at short vs long positions.
   dl::Tensor prompt({400, cfg.hidden});
   prompt.randn_uniform(rng);
   dl::Tensor out({400, cfg.hidden});
   layer.prefill(prompt.data(), 400, out.data());
-  const auto time_at = [&](std::int64_t pos) {
-    WallTimer t;
-    for (int i = 0; i < 50; ++i) layer.decode_one(x.data(), pos, y.data());
-    return t.seconds();
-  };
-  // Amortized over 50 calls; position 399 attends to 8x more cache than 49.
-  EXPECT_GT(time_at(399), time_at(49) * 1.05);
+  std::vector<float> x(static_cast<std::size_t>(cfg.hidden), 0.1f);
+  std::vector<float> y(x.size());
+  for (std::int64_t pos : {49, 399}) {
+    layer.decode_one(x.data(), pos, y.data());
+    for (float v : y) ASSERT_TRUE(std::isfinite(v)) << "pos " << pos;
+  }
 }
 
 TEST(UnaryTPP, StridedBf16Reductions) {
