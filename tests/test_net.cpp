@@ -1277,12 +1277,16 @@ TEST(WireCodec, HealthFramesRoundTripAndTruncationNeedsMore) {
 
 // A live server answers health probes with the scheduler's terminal counters
 // and one record per shard; the draining flag flips after begin_drain() while
-// probes keep being served.
+// probes keep being served. A drain with nothing in flight ends at once and
+// closes every connection, so a request parked in a blocking session holds
+// the drain open while the probes run.
 TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
   serving::SchedulerConfig cfg;
   cfg.shards = 2;
   serving::ModelRegistry reg;
   reg.add(serving::make_mlp_session("mlp", tiny_mlp(), 4, 7));
+  auto blocker = std::make_shared<BlockingSession>("blocker");
+  reg.add(blocker);
   serving::RequestScheduler sched(cfg);
   Server server(reg, sched, ServerConfig{});
   ASSERT_TRUE(server.start().ok());
@@ -1314,6 +1318,17 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
     EXPECT_EQ(sh.overload_level, 0);
   }
 
+  // Park one request on a second connection: it stays in flight, so the
+  // drain below cannot finish until it is released.
+  Client holder;
+  ASSERT_TRUE(holder.connect("127.0.0.1", server.port()).ok());
+  RequestFrame parked;
+  parked.request_id = 2;
+  parked.name = "blocker";
+  parked.payload = {1, 2, 3, 4};
+  ASSERT_TRUE(holder.send_request(parked).ok());
+  blocker->await_entered();
+
   // Draining servers still answer probes — that is how an orchestrator
   // watches the flush — with the flag set.
   server.begin_drain();
@@ -1329,6 +1344,12 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(saw_draining);
+
+  // The parked request still resolves OK through the drain.
+  blocker->release();
+  ASSERT_TRUE(holder.recv_response(&resp).ok());
+  EXPECT_EQ(resp.request_id, 2u);
+  EXPECT_EQ(resp.code, WireCode::kOk) << resp.message;
 
   server.stop();
   sched.shutdown();
