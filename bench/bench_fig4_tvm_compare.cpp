@@ -4,10 +4,43 @@
 // substitute also sweeps the register/micro-tile dimension (bm, bn, bk) the
 // way a tensor compiler must. The paper reports PARLOOPER reaching equal or
 // better GFLOPS while tuning 2.3x-500x faster.
+//
+// Each size also re-runs the tuner's winning spec standalone, as the median
+// of repeated trials, against the GFLOPS the tuner recorded for it
+// (tuner_rerun_over_tuned_<n>; check_overhead.py --tuner gates it).
+#include <algorithm>
+
 #include "bench/bench_util.hpp"
 #include "tuner/tuner.hpp"
 
 using namespace plt;
+
+namespace {
+
+// Median GFLOPS of `trials` standalone best-of-3 timings of the tuned spec.
+double rerun_gflops(const kernels::GemmConfig& base,
+                    const tuner::TuneCandidate& best, int trials) {
+  kernels::GemmConfig cfg = base;
+  cfg.loop_spec = best.spec;
+  cfg.k_blocking = best.k_blocking;
+  cfg.m_blocking = best.m_blocking;
+  cfg.n_blocking = best.n_blocking;
+  const kernels::GemmKernel kernel(cfg);
+  AlignedBuffer<float> a(kernel.a_elems()), b(kernel.b_elems()),
+      c(kernel.c_elems());
+  a.zero();
+  b.zero();
+  std::vector<double> gf;
+  for (int t = 0; t < trials; ++t) {
+    const double s = time_best_seconds(
+        [&] { kernel.run(a.data(), b.data(), c.data()); }, 1, 3);
+    gf.push_back(gflops(kernel.flops(), s));
+  }
+  std::nth_element(gf.begin(), gf.begin() + trials / 2, gf.end());
+  return gf[static_cast<std::size_t>(trials / 2)];
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
@@ -17,8 +50,10 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Fig. 4 — outer-loop tuning (PARLOOPER) vs full-schedule search");
-  std::printf("%-14s | %10s %10s | %10s %10s | %9s\n", "size",
-              "ours GF", "ours s", "full GF", "full s", "tune-ratio");
+  std::printf("%-14s | %10s %10s | %10s %10s | %9s | %9s\n", "size",
+              "ours GF", "ours s", "full GF", "full s", "tune-ratio",
+              "rerun/GF");
+  bench::JsonReporter json("fig4_tvm_compare");
 
   for (std::int64_t n : sizes) {
     kernels::GemmConfig base;
@@ -56,10 +91,17 @@ int main(int argc, char** argv) {
     }
     const double full_seconds = full_timer.seconds();
 
-    std::printf("%4ldx%4ldx%4ld | %10.2f %10.2f | %10.2f %10.2f | %8.1fx\n",
-                static_cast<long>(n), static_cast<long>(n),
-                static_cast<long>(n), ours.front().gflops, ours_seconds,
-                full_best, full_seconds, full_seconds / ours_seconds);
+    const double rerun = rerun_gflops(base, ours.front().candidate, 7);
+    const double ratio = rerun / ours.front().gflops;
+    std::printf(
+        "%4ldx%4ldx%4ld | %10.2f %10.2f | %10.2f %10.2f | %8.1fx | %8.2fx\n",
+        static_cast<long>(n), static_cast<long>(n), static_cast<long>(n),
+        ours.front().gflops, ours_seconds, full_best, full_seconds,
+        full_seconds / ours_seconds, ratio);
+    const std::string sz = std::to_string(n);
+    json.add("tuner_best_" + sz, ours.front().gflops, 0.0);
+    json.add("tuner_rerun_" + sz, rerun, 0.0);
+    json.add_value("tuner_rerun_over_tuned_" + sz, ratio, "ratio");
   }
   std::printf("\nexpected shape: comparable best GFLOPS, with the outer-loop "
               "search several times cheaper (paper: 2.3x-500x).\n");

@@ -32,6 +32,12 @@ Overload mode — delay-gradient brownout + gradient shedding:
   halved decode windows + gradient shed) vs the fixed queue-cap baseline.
   Both sides run priority classes and continuous batching, so the gain is
   attributable to overload control alone.
+
+Tuner mode — the tuned spec reproduces its rate:
+    check_overhead.py --tuner BENCH_fig4_tvm_compare.json [min_ratio]
+  Re-running the tuner's winning spec standalone (median of repeated
+  trials) must reach >= min_ratio (default 0.5) of the GFLOPS the tuner
+  recorded for it, at every size the bench tuned.
 """
 import json
 import sys
@@ -149,6 +155,25 @@ def check_overload(path: str, min_ratio: float) -> int:
     return 0
 
 
+def check_tuner(path: str, min_ratio: float) -> int:
+    with open(path) as f:
+        data = json.load(f)
+    rows = {r["name"]: r.get("value") for r in data["records"]
+            if r["name"].startswith("tuner_rerun_over_tuned_")}
+    if not rows:
+        print(f"missing tuner_rerun_over_tuned_* records in {path}")
+        return 1
+    bad = 0
+    for name, ratio in sorted(rows.items()):
+        print(f"{name}={ratio:.2f} (required >= {min_ratio})")
+        if ratio < min_ratio:
+            bad += 1
+    if bad:
+        print("FAIL: a standalone re-run of the tuned spec lost its rate")
+        return 1
+    return 0
+
+
 def main() -> int:
     args = sys.argv[1:]
     serving = "--serving" in args
@@ -163,6 +188,9 @@ def main() -> int:
     overload = "--overload" in args
     if overload:
         args.remove("--overload")
+    tuner = "--tuner" in args
+    if tuner:
+        args.remove("--tuner")
     if serving:
         path = args[0] if args else "BENCH_serving.json"
         min_ratio = float(args[1]) if len(args) > 1 else 1.5
@@ -179,6 +207,10 @@ def main() -> int:
         path = args[0] if args else "BENCH_serving.json"
         min_ratio = float(args[1]) if len(args) > 1 else 1.2
         return check_overload(path, min_ratio)
+    if tuner:
+        path = args[0] if args else "BENCH_fig4_tvm_compare.json"
+        min_ratio = float(args[1]) if len(args) > 1 else 0.5
+        return check_tuner(path, min_ratio)
     path = args[0] if args else "BENCH_micro_tpp.json"
     min_ratio = float(args[1]) if len(args) > 1 else 1.3
     return check_dispatch(path, min_ratio)

@@ -23,76 +23,81 @@ void pack_panel(const float* slice, std::int64_t seq, std::int64_t dh,
 void AttentionHead::forward(const float* q, const float* k, const float* v,
                             float* out, float* probs_t) const {
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  // One scratch block per call: a seq x seq score panel and a dh-major
+  // panel reused by K^T and then V. Heads run concurrently on the team, so
+  // each call keeps its own, as small as the steps allow.
+  std::vector<float> scratch(static_cast<std::size_t>(seq * seq + seq * dh));
+  float* st = scratch.data();
+  float* panel = st + seq * seq;
 
   // KT: col-major (seq_k x dh) panel so scores^T = KT x Q is one GEMM.
-  std::vector<float> kt(static_cast<std::size_t>(seq * dh));
-  tpp::transpose_2d(k, kt.data(), dh, seq, ld, seq);
+  tpp::transpose_2d(k, panel, dh, seq, ld, seq);
 
   // scores^T (key-major): st(j, i) = K_j . Q_i.
-  std::vector<float> st(static_cast<std::size_t>(seq * seq));
   tpp::GemmTPP score_gemm(seq, seq, dh, 0.0f, DType::F32, DType::F32,
                           DType::F32, tpp::ALayout::kFlat,
                           /*lda=*/seq, /*ldb=*/ld, /*ldc=*/seq);
-  score_gemm(kt.data(), q, st.data());
+  score_gemm(panel, q, st);
 
   // Each query's distribution is one contiguous column of st: softmax over
   // "rows" of the transposed view.
-  tpp::softmax_scale_mask_rows(st.data(), probs_t, seq, seq, seq, seq, scale,
+  tpp::softmax_scale_mask_rows(st, probs_t, seq, seq, seq, seq, scale,
                                nullptr);
 
   // ctx(d, i) = sum_j V(j, d) P(i, j): A = dh-major V panel, B = probs_t.
-  std::vector<float> vp(static_cast<std::size_t>(seq * dh));
-  pack_panel(v, seq, dh, ld, vp.data());
+  pack_panel(v, seq, dh, ld, panel);
   tpp::GemmTPP ctx_gemm(dh, seq, seq, 0.0f, DType::F32, DType::F32,
                         DType::F32, tpp::ALayout::kFlat,
                         /*lda=*/dh, /*ldb=*/seq, /*ldc=*/ld);
-  ctx_gemm(vp.data(), probs_t, out);
+  ctx_gemm(panel, probs_t, out);
 }
 
 void AttentionHead::backward(const float* q, const float* k, const float* v,
                              const float* probs_t, const float* dout,
                              float* dq, float* dk, float* dv) const {
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  // Two seq x seq panels and one dh-major panel, each reused once its
+  // previous contents are dead (see forward).
+  std::vector<float> scratch(
+      static_cast<std::size_t>(2 * seq * seq + seq * dh));
+  float* sq0 = scratch.data();
+  float* dst = sq0 + seq * seq;
+  float* panel = dst + seq * seq;
 
   // dP^T (key-major): dpt(j, i) = sum_d dout(i, d) V(j, d).
-  std::vector<float> vt(static_cast<std::size_t>(seq * dh));
-  tpp::transpose_2d(v, vt.data(), dh, seq, ld, seq);
-  std::vector<float> dpt(static_cast<std::size_t>(seq * seq));
+  tpp::transpose_2d(v, panel, dh, seq, ld, seq);
+  float* dpt = sq0;
   tpp::GemmTPP dp_gemm(seq, seq, dh, 0.0f, DType::F32, DType::F32, DType::F32,
                        tpp::ALayout::kFlat, seq, ld, seq);
-  dp_gemm(vt.data(), dout, dpt.data());
+  dp_gemm(panel, dout, dpt);
 
   // Softmax backward per query distribution (contiguous columns).
-  std::vector<float> dst(static_cast<std::size_t>(seq * seq));
-  tpp::softmax_rows_bwd(dpt.data(), probs_t, dst.data(), seq, seq, seq);
+  tpp::softmax_rows_bwd(dpt, probs_t, dst, seq, seq, seq);
 
   // dV(j, d): dv_cm(d, j) = sum_i dout(i, d) P(i, j) — A = dh-major dout
   // panel, B = probs_t read query-major, i.e. the transpose of probs_t.
-  std::vector<float> dop(static_cast<std::size_t>(seq * dh));
-  pack_panel(dout, seq, dh, ld, dop.data());
-  std::vector<float> p_qmajor(static_cast<std::size_t>(seq * seq));
-  tpp::transpose_2d(probs_t, p_qmajor.data(), seq, seq, seq, seq);
+  pack_panel(dout, seq, dh, ld, panel);
+  float* p_qmajor = sq0;
+  tpp::transpose_2d(probs_t, p_qmajor, seq, seq, seq, seq);
   tpp::GemmTPP dv_gemm(dh, seq, seq, 0.0f, DType::F32, DType::F32, DType::F32,
                        tpp::ALayout::kFlat, dh, seq, ld);
-  dv_gemm(dop.data(), p_qmajor.data(), dv);
+  dv_gemm(panel, p_qmajor, dv);
 
   // dQ(i, d) = scale * sum_j dS(i, j) K(j, d): A = dh-major K panel,
   // B = dst (key-major columns per query).
-  std::vector<float> kp(static_cast<std::size_t>(seq * dh));
-  pack_panel(k, seq, dh, ld, kp.data());
+  pack_panel(k, seq, dh, ld, panel);
   tpp::GemmTPP dq_gemm(dh, seq, seq, 0.0f, DType::F32, DType::F32, DType::F32,
                        tpp::ALayout::kFlat, dh, seq, ld);
-  dq_gemm(kp.data(), dst.data(), dq);
+  dq_gemm(panel, dst, dq);
 
   // dK(j, d) = scale * sum_i dS(i, j) Q(i, d): B must be query-major, so
   // transpose dst once.
-  std::vector<float> ds_qmajor(static_cast<std::size_t>(seq * seq));
-  tpp::transpose_2d(dst.data(), ds_qmajor.data(), seq, seq, seq, seq);
-  std::vector<float> qp(static_cast<std::size_t>(seq * dh));
-  pack_panel(q, seq, dh, ld, qp.data());
+  float* ds_qmajor = sq0;
+  tpp::transpose_2d(dst, ds_qmajor, seq, seq, seq, seq);
+  pack_panel(q, seq, dh, ld, panel);
   tpp::GemmTPP dk_gemm(dh, seq, seq, 0.0f, DType::F32, DType::F32, DType::F32,
                        tpp::ALayout::kFlat, dh, seq, ld);
-  dk_gemm(qp.data(), ds_qmajor.data(), dk);
+  dk_gemm(panel, ds_qmajor, dk);
 
   // Apply the attention scale to dQ and dK.
   for (std::int64_t t = 0; t < seq; ++t)

@@ -27,6 +27,27 @@ void add_into(const float* a, const float* b, float* out, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
+// The (batch, head) attention nest. A head slice is S rows of dh columns of
+// a [tokens][hidden] activation; forward reads the q/k/v slices and writes
+// the context slice and the head's probs_t block, backward reads those and
+// writes the dq/dk/dv slices.
+parlooper::LoopNest attention_nest(const BertConfig& c, bool backward) {
+  const std::int64_t S = c.seq_len, H = c.hidden, dh = c.head_dim();
+  const std::vector<std::int64_t> slice = {S * H, dh};
+  const std::vector<std::int64_t> probs = {c.heads * S * S, S * S};
+  parlooper::AccessMap access;
+  for (const char* t : {"q", "k", "v"}) access.add_read(t, slice, dh, S, H);
+  if (backward) {
+    access.add_read("dctx", slice, dh, S, H).add_read("probs_t", probs, S * S);
+    for (const char* t : {"dq", "dk", "dv"}) access.add_write(t, slice, dh, S, H);
+  } else {
+    access.add_write("ctx", slice, dh, S, H).add_write("probs_t", probs, S * S);
+  }
+  return parlooper::LoopNest(
+      {parlooper::LoopSpecs{0, c.batch, 1}, parlooper::LoopSpecs{0, c.heads, 1}},
+      "AB", parlooper::Backend::kAuto, access);
+}
+
 }  // namespace
 
 BertConfig BertConfig::base_scaled() {
@@ -62,7 +83,9 @@ BertEncoderLayer::BertEncoderLayer(const BertConfig& cfg, Xoshiro256& rng)
       out_(fc_cfg(cfg, cfg.intermediate, cfg.hidden, FcActivation::kNone),
            rng),
       ln1_(cfg.tokens(), cfg.hidden),
-      ln2_(cfg.tokens(), cfg.hidden) {
+      ln2_(cfg.tokens(), cfg.hidden),
+      attn_fwd_nest_(attention_nest(cfg, /*backward=*/false)),
+      attn_bwd_nest_(attention_nest(cfg, /*backward=*/true)) {
   PLT_CHECK(cfg_.hidden % cfg_.heads == 0, "bert: heads must divide hidden");
   const std::int64_t T = cfg_.tokens(), H = cfg_.hidden;
   x_.reshape({T, H});
@@ -91,15 +114,14 @@ void BertEncoderLayer::forward(const float* x, float* y,
   k_.forward(x, kb_.data());
   v_.forward(x, vb_.data());
 
-  AttentionHead head{S, dh, H};
-  for (std::int64_t b = 0; b < cfg_.batch; ++b) {
-    for (std::int64_t h = 0; h < cfg_.heads; ++h) {
-      const std::int64_t off = b * S * H + h * dh;
-      float* pt = probs_t_.data() + (b * cfg_.heads + h) * S * S;
-      head.forward(qb_.data() + off, kb_.data() + off, vb_.data() + off,
-                   ctx_.data() + off, pt);
-    }
-  }
+  const AttentionHead head{S, dh, H};
+  attn_fwd_nest_([&](const std::int64_t* ind) {
+    const std::int64_t b = ind[0], h = ind[1];
+    const std::int64_t off = b * S * H + h * dh;
+    head.forward(qb_.data() + off, kb_.data() + off, vb_.data() + off,
+                 ctx_.data() + off,
+                 probs_t_.data() + (b * cfg_.heads + h) * S * S);
+  });
 
   attn_out_.forward(ctx_.data(), proj_.data());
   if (cfg_.dropout_p > 0.0f) {
@@ -156,16 +178,15 @@ void BertEncoderLayer::backward(const float* dy, float* dx) {
 
   attn_out_.backward(ctx_.data(), dproj.data(), dctx.data());
 
-  AttentionHead head{S, dh, H};
-  for (std::int64_t b = 0; b < cfg_.batch; ++b) {
-    for (std::int64_t h = 0; h < cfg_.heads; ++h) {
-      const std::int64_t off = b * S * H + h * dh;
-      const float* pt = probs_t_.data() + (b * cfg_.heads + h) * S * S;
-      head.backward(qb_.data() + off, kb_.data() + off, vb_.data() + off, pt,
-                    dctx.data() + off, dqb.data() + off, dkb.data() + off,
-                    dvb.data() + off);
-    }
-  }
+  const AttentionHead head{S, dh, H};
+  attn_bwd_nest_([&](const std::int64_t* ind) {
+    const std::int64_t b = ind[0], h = ind[1];
+    const std::int64_t off = b * S * H + h * dh;
+    head.backward(qb_.data() + off, kb_.data() + off, vb_.data() + off,
+                  probs_t_.data() + (b * cfg_.heads + h) * S * S,
+                  dctx.data() + off, dqb.data() + off, dkb.data() + off,
+                  dvb.data() + off);
+  });
 
   // dx accumulates the residual path plus the three projections' dgrads.
   std::memcpy(dx, dres1.data(), static_cast<std::size_t>(T * H) * sizeof(float));

@@ -59,6 +59,9 @@ class BertEncoderLayer {
   const BertConfig cfg_;
   FcLayer q_, k_, v_, attn_out_, inter_, out_;
   LayerNorm ln1_, ln2_;
+  // Attention forward/backward over (batch, head): one head slice per
+  // iteration, each owning its context/gradient columns.
+  parlooper::LoopNest attn_fwd_nest_, attn_bwd_nest_;
 
   // Saved forward state (one training step in flight at a time).
   mutable Tensor x_, qb_, kb_, vb_, ctx_, proj_, res1_, ln1_out_, inter_in_,

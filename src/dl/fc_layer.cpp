@@ -1,61 +1,223 @@
 #include "dl/fc_layer.hpp"
 
 #include <cstring>
+#include <optional>
 
 #include "common/check.hpp"
+#include "tpp/binary.hpp"
+#include "tpp/brgemm.hpp"
 #include "tpp/transforms.hpp"
+#include "tpp/unary.hpp"
 
 namespace plt::dl {
 
 namespace {
 
-// Packs a row-major (out x in) weight matrix into the blocked A layout
-// A[Mb][Kb][bk][bm] (bm fastest), VNNI2-packing bf16 blocks.
-void pack_weight_blocked(const float* w_rowmajor, std::int64_t M,
-                         std::int64_t K, std::int64_t bm, std::int64_t bk,
-                         DType dtype, std::uint8_t* out) {
-  const std::int64_t Mb = M / bm, Kb = K / bk;
-  const std::int64_t blk_elems =
-      dtype == DType::BF16 ? tpp::vnni2_elems(bm, bk) : bm * bk;
-  std::vector<bf16> tile(static_cast<std::size_t>(bm * bk));
-  for (std::int64_t im = 0; im < Mb; ++im)
-    for (std::int64_t ik = 0; ik < Kb; ++ik) {
-      if (dtype == DType::F32) {
-        float* dst = reinterpret_cast<float*>(out) + (im * Kb + ik) * blk_elems;
-        for (std::int64_t kk = 0; kk < bk; ++kk)
-          for (std::int64_t mm = 0; mm < bm; ++mm)
-            dst[mm + kk * bm] =
-                w_rowmajor[(im * bm + mm) * K + (ik * bk + kk)];
-      } else {
-        for (std::int64_t kk = 0; kk < bk; ++kk)
-          for (std::int64_t mm = 0; mm < bm; ++mm)
-            tile[static_cast<std::size_t>(mm + kk * bm)] = bf16::from_f32(
-                w_rowmajor[(im * bm + mm) * K + (ik * bk + kk)]);
-        tpp::vnni2_pack(tile.data(),
-                        reinterpret_cast<bf16*>(out) + (im * Kb + ik) * blk_elems,
-                        bm, bk, bm);
-      }
-    }
+// The blocked-A contraction a TokenPlan runs over S tokens:
+// C (M x S, ld = M) = A (M x K in [M/bm][K/bk][bk][bm] blocks) x B (K x S,
+// ld = K). Forward is (out, in) on the layer's weights in its dtype; dgrad
+// is (in, out) on the fp32 W^T blocks.
+struct Contraction {
+  std::int64_t M, K, bm, bk;
+  DType dtype;
+
+  std::int64_t a_blk() const {
+    return dtype == DType::BF16 ? tpp::vnni2_elems(bm, bk) : bm * bk;
+  }
+};
+
+// Footprints of one (ik, im, is) invocation: the bm x bn C tile (ld = M) is
+// read-modify-written across the K reduction, the forward pre-activation
+// stash is written on the last K step (over-approximated as every step, per
+// the AccessMap contract), A blocks and the B panel are read-only.
+parlooper::AccessMap contraction_access_map(const Contraction& g,
+                                            std::int64_t bn, bool preact) {
+  const std::int64_t Kb = g.K / g.bk, a_blk = g.a_blk();
+  parlooper::AccessMap access;
+  access.add_write("out", {0, g.bm, bn * g.M}, g.bm, bn, g.M)
+      .add_read("out", {0, g.bm, bn * g.M}, g.bm, bn, g.M);
+  if (preact) {
+    access.add_write("preact", {0, g.bm, bn * g.M}, g.bm, bn, g.M);
+  }
+  access.add_read("weights", {a_blk, Kb * a_blk, 0}, a_blk)
+      .add_read("in", {g.bk, 0, bn * g.K}, g.bk, bn, g.K);
+  return access;
 }
 
 }  // namespace
 
+// The compiled contraction for one token count, built once per S and
+// memoized so the serving/decode hot path touches no cache-key machinery.
+// The bias/activation epilogue TPPs exist only on forward plans that use
+// them.
+struct FcLayer::TokenPlan {
+  Contraction g;
+  std::int64_t bn;
+  tpp::BrgemmTPP brgemm;
+  tpp::UnaryTPP zero;
+  std::optional<tpp::BinaryTPP> bias;
+  std::optional<tpp::UnaryTPP> act;
+  parlooper::LoopNest nest;
+
+  TokenPlan(const Contraction& c, std::int64_t S, std::int64_t bn_in,
+            const FcConfig& cfg, bool forward)
+      : g(c),
+        bn(bn_in),
+        brgemm(tpp::BrgemmDesc{
+            c.bm, bn_in, c.bk,
+            /*lda=*/c.bm, /*ldb=*/c.K, /*ldc=*/c.M, c.dtype, c.dtype,
+            DType::F32, /*beta=*/1.0f, tpp::BrgemmVariant::kStride,
+            c.dtype == DType::BF16 ? tpp::ALayout::kVnni2 : tpp::ALayout::kFlat,
+            /*stride_a=*/c.a_blk(), /*stride_b=*/c.bk}),
+        zero(tpp::UnaryDesc{tpp::UnaryKind::kZero, c.bm, bn_in, 0, c.M,
+                            DType::F32, DType::F32, 1.0f}),
+        nest({parlooper::LoopSpecs{0, c.K / c.bk, 1},
+              parlooper::LoopSpecs{0, c.M / c.bm, 1},
+              parlooper::LoopSpecs{0, S / bn_in, 1}},
+             cfg.loop_spec, cfg.backend,
+             contraction_access_map(c, bn_in,
+                                    forward && cfg.act != FcActivation::kNone)) {
+    if (forward && cfg.with_bias) {
+      bias.emplace(tpp::BinaryDesc{tpp::BinaryKind::kAdd, c.bm, bn_in, 0, c.M,
+                                   c.M, DType::F32, DType::F32, DType::F32,
+                                   tpp::Broadcast::kCol});
+    }
+    if (forward && cfg.act != FcActivation::kNone) {
+      act.emplace(tpp::UnaryDesc{cfg.act == FcActivation::kGelu
+                                     ? tpp::UnaryKind::kGelu
+                                     : tpp::UnaryKind::kRelu,
+                                 c.bm, bn_in, c.M, c.M, DType::F32,
+                                 DType::F32, 1.0f});
+    }
+  }
+
+  // C = A x B; `epilogue(c_tile, im, is)` runs on each C tile right after
+  // its last K block.
+  template <typename Epilogue>
+  void run(const void* a, const void* b, float* c, Epilogue&& epilogue) const {
+    const std::int64_t Kb = g.K / g.bk, a_blk = g.a_blk();
+    const std::size_t esz = dtype_size(g.dtype);
+    const char* ap = static_cast<const char*>(a);
+    const char* bp = static_cast<const char*>(b);
+    nest([&](const std::int64_t* ind) {
+      const std::int64_t ik = ind[0], im = ind[1], is = ind[2];
+      float* c_tile = c + im * g.bm + is * bn * g.M;
+      if (ik == 0) zero(nullptr, c_tile);
+      brgemm(ap + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
+             bp + static_cast<std::size_t>(ik * g.bk + is * bn * g.K) * esz,
+             c_tile, 1);
+      if (ik == Kb - 1) epilogue(c_tile, im, is);
+    });
+  }
+};
+
+// The backward and update pipeline. Every nest gives each output block one
+// owner that reduces it in a fixed order, so serial, pool and omp runs, on
+// any team size or partition count, agree bitwise:
+//   grad    over out blocks: g = act'(preact) * dO, dbias += row sums of g,
+//           g^T (S x out col-major) for the wgrad B operand;
+//   wgrad   over (in, out) tiles of the row-major master gradient, which is
+//           a col-major in x out matrix: dW(i, o) += sum_s I(i, s) g^T(s, o),
+//           one fp32 BRGEMM with beta = 1 and K = S per tile;
+//   dgrad   the forward contraction shape on the fp32 W^T blocks;
+//   update  over out blocks: W and bias rows -= lr * grad, then both packed
+//           copies of those rows.
+struct FcLayer::BackwardPlan {
+  std::optional<tpp::UnaryTPP> act_bwd;  // bm x S tile of g
+  std::optional<tpp::UnaryTPP> row_sum;  // bm x S tile -> bm dbias values
+  tpp::BrgemmTPP wgrad;
+  parlooper::LoopNest grad_nest, wgrad_nest, update_nest;
+  TokenPlan dgrad;
+
+  BackwardPlan(const FcConfig& cfg, std::int64_t bn)
+      : wgrad(tpp::BrgemmDesc{cfg.bk, cfg.bm, cfg.tokens,
+                              /*lda=*/cfg.in_features, /*ldb=*/cfg.tokens,
+                              /*ldc=*/cfg.in_features, DType::F32, DType::F32,
+                              DType::F32, /*beta=*/1.0f}),
+        grad_nest({parlooper::LoopSpecs{0, cfg.out_features / cfg.bm, 1}},
+                  "A", cfg.backend, grad_map(cfg)),
+        wgrad_nest({parlooper::LoopSpecs{0, cfg.in_features / cfg.bk, 1},
+                    parlooper::LoopSpecs{0, cfg.out_features / cfg.bm, 1}},
+                   "AB", cfg.backend, wgrad_map(cfg)),
+        update_nest({parlooper::LoopSpecs{0, cfg.out_features / cfg.bm, 1}},
+                    "A", cfg.backend, update_map(cfg)),
+        dgrad(Contraction{cfg.in_features, cfg.out_features, cfg.bk, cfg.bm,
+                          DType::F32},
+              cfg.tokens, bn, cfg, /*forward=*/false) {
+    const std::int64_t O = cfg.out_features, S = cfg.tokens;
+    if (cfg.act != FcActivation::kNone) {
+      act_bwd.emplace(tpp::UnaryDesc{cfg.act == FcActivation::kGelu
+                                         ? tpp::UnaryKind::kGeluBwd
+                                         : tpp::UnaryKind::kReluBwd,
+                                     cfg.bm, S, O, O, DType::F32, DType::F32,
+                                     1.0f});
+    }
+    if (cfg.with_bias) {
+      row_sum.emplace(tpp::UnaryDesc{tpp::UnaryKind::kReduceSumCols, cfg.bm, S,
+                                     O, 0, DType::F32, DType::F32, 1.0f});
+    }
+  }
+
+  // Out block ob: reads the bm x S tiles of dO (and preact), writes the g
+  // tile, its bm dbias rows and its bm x S block of g^T.
+  static parlooper::AccessMap grad_map(const FcConfig& cfg) {
+    const std::int64_t O = cfg.out_features, S = cfg.tokens, bm = cfg.bm;
+    parlooper::AccessMap access;
+    access.add_read("grad_out", {bm}, bm, S, O)
+        .add_read("preact", {bm}, bm, S, O)
+        .add_write("g", {bm}, bm, S, O)
+        .add_read("g", {bm}, bm, S, O)
+        .add_write("db", {bm}, bm)
+        .add_write("dbias", {bm}, bm)
+        .add_read("dbias", {bm}, bm)
+        .add_write("gt", {bm * S}, bm * S);
+    return access;
+  }
+
+  // Tile (ib, ob): the bk x bm dW tile (ld = in) is read-modify-written; the
+  // bk-row panel of the input and the bm-column panel of g^T are read.
+  static parlooper::AccessMap wgrad_map(const FcConfig& cfg) {
+    const std::int64_t I = cfg.in_features, S = cfg.tokens;
+    const std::int64_t bm = cfg.bm, bk = cfg.bk;
+    parlooper::AccessMap access;
+    access.add_write("dweight", {bk, bm * I}, bk, bm, I)
+        .add_read("dweight", {bk, bm * I}, bk, bm, I)
+        .add_read("input", {bk, 0}, bk, S, I)
+        .add_read("gt", {0, bm * S}, bm * S);
+    return access;
+  }
+
+  // Out block ob: bm weight and bias rows are updated, the out block's row of
+  // W blocks is rewritten, and its column of W^T blocks (one per in block).
+  static parlooper::AccessMap update_map(const FcConfig& cfg) {
+    const std::int64_t I = cfg.in_features, bm = cfg.bm, bk = cfg.bk;
+    const std::int64_t Ib = I / bk, Ob = cfg.out_features / bm;
+    const std::int64_t w_blk = cfg.dtype == DType::BF16
+                                   ? tpp::vnni2_elems(bm, bk)
+                                   : bm * bk;
+    parlooper::AccessMap access;
+    access.add_write("weight", {bm * I}, bm * I)
+        .add_read("weight", {bm * I}, bm * I)
+        .add_read("dweight", {bm * I}, bm * I)
+        .add_write("bias", {bm}, bm)
+        .add_read("dbias", {bm}, bm)
+        .add_write("w_blocked", {Ib * w_blk}, Ib * w_blk)
+        .add_write("wt_blocked", {bm * bk}, bm * bk, Ib, Ob * bm * bk);
+    return access;
+  }
+};
+
 FcLayer::FcLayer(FcConfig cfg, Xoshiro256& rng)
     : cfg_(cfg),
-      bias_tpp_(tpp::BinaryDesc{tpp::BinaryKind::kAdd, cfg.bm, cfg.bn, 0,
-                                cfg.out_features, cfg.out_features, DType::F32,
-                                DType::F32, DType::F32, tpp::Broadcast::kCol}),
-      act_tpp_(tpp::UnaryDesc{cfg.act == FcActivation::kGelu
-                                  ? tpp::UnaryKind::kGelu
-                                  : tpp::UnaryKind::kRelu,
-                              cfg.bm, cfg.bn, cfg.out_features,
-                              cfg.out_features, DType::F32, DType::F32, 1.0f}) {
+      w_pack_{cfg.out_features, cfg.in_features, /*rs=*/cfg.in_features,
+              /*cs=*/1, cfg.bm, cfg.bk, tpp::PackOrder::kRowsFastest,
+              cfg.dtype},
+      wt_pack_{cfg.in_features, cfg.out_features, /*rs=*/1,
+               /*cs=*/cfg.in_features, cfg.bk, cfg.bm,
+               tpp::PackOrder::kRowsFastest, DType::F32} {
   PLT_CHECK(cfg_.in_features % cfg_.bk == 0 &&
-                cfg_.out_features % cfg_.bm == 0 &&
-                cfg_.out_features % cfg_.bk == 0 &&
-                cfg_.in_features % cfg_.bm == 0,
-            "fc: block sizes must divide features (both directions, for the "
-            "dgrad transpose)");
+                cfg_.out_features % cfg_.bm == 0,
+            "fc: bk must divide in_features and bm out_features");
   weight_.reshape({cfg_.out_features, cfg_.in_features});
   bias_.reshape({cfg_.out_features});
   dweight_.reshape({cfg_.out_features, cfg_.in_features});
@@ -64,145 +226,58 @@ FcLayer::FcLayer(FcConfig cfg, Xoshiro256& rng)
   weight_.randn_uniform(rng, -0.05f, 0.05f);
   bias_.randn_uniform(rng, -0.01f, 0.01f);
 
-  const std::int64_t Mb = cfg_.out_features / cfg_.bm;
-  const std::int64_t Kb = cfg_.in_features / cfg_.bk;
-  const std::int64_t blk =
-      cfg_.dtype == DType::BF16 ? tpp::vnni2_elems(cfg_.bm, cfg_.bk)
-                                : cfg_.bm * cfg_.bk;
-  w_blocked_.resize(static_cast<std::size_t>(Mb * Kb * blk) *
+  // W blocks in the contraction dtype; W^T blocks (bm' = bk, bk' = bm) in
+  // fp32 for dgrad, which runs on the fp32 master weights.
+  const std::int64_t blocks = w_pack_.row_blocks() * w_pack_.col_blocks();
+  w_blocked_.resize(static_cast<std::size_t>(blocks * w_pack_.block_elems()) *
                     dtype_size(cfg_.dtype));
-  // dgrad operates on fp32 master weights: A = W^T blocked with (bm', bk')
-  // = (bk, bm) so the same divisibility holds.
-  const std::int64_t Ib = cfg_.in_features / cfg_.bk;
-  const std::int64_t Ob = cfg_.out_features / cfg_.bm;
-  wt_blocked_.resize(static_cast<std::size_t>(Ib * Ob * cfg_.bk * cfg_.bm) *
+  wt_blocked_.resize(static_cast<std::size_t>(blocks * wt_pack_.block_elems()) *
                      sizeof(float));
   if (cfg_.dtype == DType::BF16) {
     in_stage_.resize(static_cast<std::size_t>(cfg_.tokens * cfg_.in_features) *
                      sizeof(bf16));
   }
   repack();
-
-  // The dgrad GEMM needs bn | tokens; inference-only layers (e.g. the LLM
-  // decode path with arbitrary token counts) simply never build it.
-  if (cfg_.tokens % cfg_.bn == 0) {
-    kernels::GemmConfig dg;
-    dg.M = cfg_.in_features;
-    dg.N = cfg_.tokens;
-    dg.K = cfg_.out_features;
-    dg.bm = cfg_.bk;   // in-features blocked by bk
-    dg.bn = cfg_.bn;
-    dg.bk = cfg_.bm;   // out-features blocked by bm
-    dg.dtype = DType::F32;
-    dg.loop_spec = cfg_.loop_spec;
-    dg.backend = cfg_.backend;
-    dgrad_gemm_ = std::make_unique<kernels::GemmKernel>(dg);
-  }
 }
 
+FcLayer::~FcLayer() = default;
+
 void FcLayer::repack() {
-  pack_weight_blocked(weight_.data(), cfg_.out_features, cfg_.in_features,
-                      cfg_.bm, cfg_.bk, cfg_.dtype, w_blocked_.data());
-  // W^T (in x out) in fp32 blocks (bm' = bk, bk' = bm).
-  std::vector<float> wt(static_cast<std::size_t>(cfg_.in_features *
-                                                 cfg_.out_features));
-  for (std::int64_t o = 0; o < cfg_.out_features; ++o)
-    for (std::int64_t i = 0; i < cfg_.in_features; ++i)
-      wt[static_cast<std::size_t>(i * cfg_.out_features + o)] =
-          weight_[static_cast<std::size_t>(o * cfg_.in_features + i)];
-  pack_weight_blocked(wt.data(), cfg_.in_features, cfg_.out_features, cfg_.bk,
-                      cfg_.bm, DType::F32, wt_blocked_.data());
+  tpp::pack_blocked(w_pack_, weight_.data(), w_blocked_.data());
+  tpp::pack_blocked(wt_pack_, weight_.data(), wt_blocked_.data());
 }
 
 void FcLayer::forward(const float* input, float* output) const {
   forward_tokens(input, cfg_.tokens, output);
 }
 
-namespace {
-
-// Footprints of one (ik, im, is) forward invocation: the bm x bn output tile
-// (ld = out_features) is read-modify-written across the K reduction, the
-// pre-activation stash is written on the last K step (over-approximated as
-// every step, per the AccessMap contract), weights and the input panel are
-// read-only.
-parlooper::AccessMap fc_access_map(const FcConfig& cfg, std::int64_t bn) {
-  const std::int64_t Kb = cfg.in_features / cfg.bk;
-  const std::int64_t a_blk = cfg.dtype == DType::BF16
-                                 ? tpp::vnni2_elems(cfg.bm, cfg.bk)
-                                 : cfg.bm * cfg.bk;
-  parlooper::AccessMap access;
-  access
-      .add_write("out", {0, cfg.bm, bn * cfg.out_features}, cfg.bm, bn,
-                 cfg.out_features)
-      .add_read("out", {0, cfg.bm, bn * cfg.out_features}, cfg.bm, bn,
-                cfg.out_features)
-      .add_write("preact", {0, cfg.bm, bn * cfg.out_features}, cfg.bm, bn,
-                 cfg.out_features)
-      .add_read("weights", {a_blk, Kb * a_blk, 0}, a_blk)
-      .add_read("in", {cfg.bk, 0, bn * cfg.in_features}, cfg.bk, bn,
-                cfg.in_features);
-  return access;
-}
-
-}  // namespace
-
-// The compiled forward pipeline for one token count, built once per S and
-// memoized so the serving/decode hot path touches no cache-key machinery.
-struct FcLayer::TokenPlan {
-  std::int64_t bn;
-  tpp::BrgemmTPP brgemm;
-  tpp::UnaryTPP zero;
-  tpp::BinaryTPP bias;
-  tpp::UnaryTPP act;
-  parlooper::LoopNest nest;
-
-  TokenPlan(const FcConfig& cfg, std::int64_t S, std::int64_t bn_in)
-      : bn(bn_in),
-        brgemm(tpp::BrgemmDesc{
-            cfg.bm, bn, cfg.bk,
-            /*lda=*/cfg.bm, /*ldb=*/cfg.in_features, /*ldc=*/cfg.out_features,
-            cfg.dtype, cfg.dtype, DType::F32, /*beta=*/1.0f,
-            tpp::BrgemmVariant::kStride,
-            cfg.dtype == DType::BF16 ? tpp::ALayout::kVnni2
-                                     : tpp::ALayout::kFlat,
-            /*stride_a=*/cfg.dtype == DType::BF16
-                ? tpp::vnni2_elems(cfg.bm, cfg.bk)
-                : cfg.bm * cfg.bk,
-            /*stride_b=*/cfg.bk}),
-        zero(tpp::UnaryDesc{tpp::UnaryKind::kZero, cfg.bm, bn, 0,
-                            cfg.out_features, DType::F32, DType::F32, 1.0f}),
-        bias(tpp::BinaryDesc{tpp::BinaryKind::kAdd, cfg.bm, bn, 0,
-                             cfg.out_features, cfg.out_features, DType::F32,
-                             DType::F32, DType::F32, tpp::Broadcast::kCol}),
-        act(tpp::UnaryDesc{cfg.act == FcActivation::kGelu
-                               ? tpp::UnaryKind::kGelu
-                               : tpp::UnaryKind::kRelu,
-                           cfg.bm, bn, cfg.out_features, cfg.out_features,
-                           DType::F32, DType::F32, 1.0f}),
-        nest({parlooper::LoopSpecs{0, cfg.in_features / cfg.bk, 1},
-              parlooper::LoopSpecs{0, cfg.out_features / cfg.bm, 1},
-              parlooper::LoopSpecs{0, S / bn, 1}},
-             cfg.loop_spec, cfg.backend, fc_access_map(cfg, bn_in)) {}
-};
-
-FcLayer::~FcLayer() = default;
-
 FcLayer::TokenPlan& FcLayer::token_plan(std::int64_t S) const {
   for (auto& entry : token_plans_) {
     if (entry.first == S) return *entry.second;
   }
   const std::int64_t bn = S % cfg_.bn == 0 ? cfg_.bn : 1;
-  token_plans_.emplace_back(S, std::make_unique<TokenPlan>(cfg_, S, bn));
+  token_plans_.emplace_back(
+      S, std::make_unique<TokenPlan>(
+             Contraction{cfg_.out_features, cfg_.in_features, cfg_.bm, cfg_.bk,
+                         cfg_.dtype},
+             S, bn, cfg_, /*forward=*/true));
   return *token_plans_.back().second;
+}
+
+FcLayer::BackwardPlan& FcLayer::backward_plan() {
+  if (!backward_plan_) {
+    const std::int64_t bn = cfg_.tokens % cfg_.bn == 0 ? cfg_.bn : 1;
+    backward_plan_ = std::make_unique<BackwardPlan>(cfg_, bn);
+  }
+  return *backward_plan_;
 }
 
 void FcLayer::forward_tokens(const float* input, std::int64_t S,
                              float* output) const {
   const std::int64_t in_f = cfg_.in_features, out_f = cfg_.out_features;
-  const std::int64_t Kb = in_f / cfg_.bk;
   PLT_CHECK(S <= cfg_.tokens, "fc: token count exceeds configured maximum");
 
-  TokenPlan& tp = token_plan(S);
+  const TokenPlan& tp = token_plan(S);
   const std::int64_t bn = tp.bn;
 
   // The B operand: a row-major [S][in] activation is a column-major
@@ -215,40 +290,19 @@ void FcLayer::forward_tokens(const float* input, std::int64_t S,
     b_panel = staged;
   }
 
-  tpp::BrgemmTPP& brgemm = tp.brgemm;
-  tpp::UnaryTPP& zero = tp.zero;
-  tpp::BinaryTPP& bias_tpp = tp.bias;
-  tpp::UnaryTPP& act_tpp = tp.act;
-
-  const std::size_t esz = dtype_size(cfg_.dtype);
-  const char* bp = static_cast<const char*>(b_panel);
-  const std::int64_t a_blk =
-      cfg_.dtype == DType::BF16 ? tpp::vnni2_elems(cfg_.bm, cfg_.bk)
-                                : cfg_.bm * cfg_.bk;
-  const bool has_act = cfg_.act != FcActivation::kNone;
   float* pre = preact_.data();
-
-  tp.nest([&](const std::int64_t* ind) {
-    const std::int64_t ik = ind[0], im = ind[1], is = ind[2];
-    // C tile (bm x bn) inside the column-major out x S output.
-    float* c_tile = output + im * cfg_.bm + is * bn * out_f;
-    if (ik == 0) zero(nullptr, c_tile);
-    brgemm(w_blocked_.data() + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
-           bp + static_cast<std::size_t>(ik * cfg_.bk + is * bn * in_f) * esz,
-           c_tile, 1);
-    if (ik == Kb - 1) {
-      if (cfg_.with_bias)
-        bias_tpp(bias_.data() + im * cfg_.bm, c_tile, c_tile);
-      if (has_act) {
-        // Save the pre-activation for the backward pass, then activate.
-        float* p_tile = pre + im * cfg_.bm + is * bn * out_f;
-        for (std::int64_t j = 0; j < bn; ++j)
-          std::memcpy(p_tile + j * out_f, c_tile + j * out_f,
-                      sizeof(float) * static_cast<std::size_t>(cfg_.bm));
-        act_tpp(c_tile, c_tile);
-      }
-    }
-  });
+  tp.run(w_blocked_.data(), b_panel, output,
+         [&](float* c_tile, std::int64_t im, std::int64_t is) {
+           if (tp.bias) (*tp.bias)(bias_.data() + im * cfg_.bm, c_tile, c_tile);
+           if (tp.act) {
+             // Save the pre-activation for the backward pass, then activate.
+             float* p_tile = pre + im * cfg_.bm + is * bn * out_f;
+             for (std::int64_t j = 0; j < bn; ++j)
+               std::memcpy(p_tile + j * out_f, c_tile + j * out_f,
+                           sizeof(float) * static_cast<std::size_t>(cfg_.bm));
+             (*tp.act)(c_tile, c_tile);
+           }
+         });
 }
 
 void FcLayer::zero_grad() {
@@ -259,72 +313,56 @@ void FcLayer::zero_grad() {
 void FcLayer::backward(const float* input, const float* grad_out,
                        float* grad_in) {
   const std::int64_t S = cfg_.tokens, in_f = cfg_.in_features,
-                     out_f = cfg_.out_features;
+                     out_f = cfg_.out_features, bm = cfg_.bm, bk = cfg_.bk;
+  const BackwardPlan& bp = backward_plan();
 
-  // Through the activation: g = act'(preact) * grad_out.
-  std::vector<float> g(static_cast<std::size_t>(S * out_f));
-  if (cfg_.act == FcActivation::kNone) {
-    std::memcpy(g.data(), grad_out, g.size() * sizeof(float));
-  } else {
-    tpp::UnaryTPP bwd(cfg_.act == FcActivation::kGelu
-                          ? tpp::UnaryKind::kGeluBwd
-                          : tpp::UnaryKind::kReluBwd,
-                      out_f, S);  // col-major out x S, ld = out
-    bwd(grad_out, g.data(), preact_.data());
-  }
+  // g (out x S col-major, ld = out) is dO itself without an activation.
+  AlignedBuffer<float> g_buf(bp.act_bwd ? static_cast<std::size_t>(S * out_f) : 0);
+  AlignedBuffer<float> gt(static_cast<std::size_t>(S * out_f));
+  AlignedBuffer<float> db(bp.row_sum ? static_cast<std::size_t>(out_f) : 0);
+  const float* g = bp.act_bwd ? g_buf.data() : grad_out;
+  const float* pre = preact_.data();
 
-  // dbias[o] = sum_s g(o, s): column sums of the out x S col-major view.
-  if (cfg_.with_bias) {
-    std::vector<float> db(static_cast<std::size_t>(out_f));
-    tpp::UnaryTPP reduce(tpp::UnaryKind::kReduceSumCols, out_f, S);
-    reduce(g.data(), db.data());
-    for (std::int64_t o = 0; o < out_f; ++o)
-      dbias_[static_cast<std::size_t>(o)] += db[static_cast<std::size_t>(o)];
-  }
+  bp.grad_nest([&](const std::int64_t* ind) {
+    const std::int64_t o0 = ind[0] * bm;
+    if (bp.act_bwd) (*bp.act_bwd)(grad_out + o0, g_buf.data() + o0, pre + o0);
+    if (bp.row_sum) {
+      (*bp.row_sum)(g + o0, db.data() + o0);
+      for (std::int64_t r = 0; r < bm; ++r)
+        dbias_[static_cast<std::size_t>(o0 + r)] +=
+            db[static_cast<std::size_t>(o0 + r)];
+    }
+    tpp::transpose_2d(g + o0, gt.data() + o0 * S, bm, S, out_f, S);
+  });
 
-  // dI (in x S col-major) = W^T (in x out) x g (out x S).
+  float* dw = dweight_.data();
+  bp.wgrad_nest([&](const std::int64_t* ind) {
+    const std::int64_t i0 = ind[0] * bk, o0 = ind[1] * bm;
+    bp.wgrad(input + i0, gt.data() + o0 * S, dw + o0 * in_f + i0, 1);
+  });
+
   if (grad_in != nullptr) {
-    PLT_CHECK(dgrad_gemm_ != nullptr,
-              "fc: backward requires bn to divide the configured tokens");
-    // dgrad_gemm_ consumes blocked B: pack g into B[Nb][Kb'][bn][bk'] with
-    // K' = out_f, bk' = bm. The flat col-major source is g (ld = out_f).
-    const std::int64_t Kb2 = out_f / cfg_.bm, Nb = S / cfg_.bn;
-    std::vector<float> gb(static_cast<std::size_t>(S * out_f));
-    for (std::int64_t in = 0; in < Nb; ++in)
-      for (std::int64_t ik = 0; ik < Kb2; ++ik)
-        for (std::int64_t nn = 0; nn < cfg_.bn; ++nn)
-          for (std::int64_t kk = 0; kk < cfg_.bm; ++kk)
-            gb[static_cast<std::size_t>(
-                (((in * Kb2 + ik) * cfg_.bn + nn) * cfg_.bm) + kk)] =
-                g[static_cast<std::size_t>((ik * cfg_.bm + kk) +
-                                           (in * cfg_.bn + nn) * out_f)];
-    // C blocked [Nb][Mb'][bn][bm'] -> unblock into grad_in (in x S cm).
-    std::vector<float> cb(static_cast<std::size_t>(S * in_f));
-    dgrad_gemm_->run(wt_blocked_.data(), gb.data(), cb.data());
-    dgrad_gemm_->unpack_c(cb.data(), grad_in);
+    bp.dgrad.run(wt_blocked_.data(), g, grad_in,
+                 [](float*, std::int64_t, std::int64_t) {});
   }
-
-  // dW (col-major out x in) = g (out x S) x input^T; input^T is the
-  // row-major [S][in] activation transposed to col-major S x in.
-  std::vector<float> xt(static_cast<std::size_t>(S * in_f));
-  tpp::transpose_2d(input, xt.data(), in_f, S, in_f, S);
-  std::vector<float> dw(static_cast<std::size_t>(out_f * in_f));
-  tpp::GemmTPP wgrad(out_f, in_f, S, 0.0f);
-  wgrad(g.data(), xt.data(), dw.data());
-  // Accumulate into the row-major master gradient.
-  for (std::int64_t o = 0; o < out_f; ++o)
-    for (std::int64_t i = 0; i < in_f; ++i)
-      dweight_[static_cast<std::size_t>(o * in_f + i)] +=
-          dw[static_cast<std::size_t>(o + i * out_f)];
 }
 
 void FcLayer::sgd_step(float lr) {
-  for (std::int64_t i = 0; i < weight_.numel(); ++i)
-    weight_[static_cast<std::size_t>(i)] -=
-        lr * dweight_[static_cast<std::size_t>(i)];
-  for (std::int64_t i = 0; i < bias_.numel(); ++i)
-    bias_[static_cast<std::size_t>(i)] -= lr * dbias_[static_cast<std::size_t>(i)];
-  repack();
+  const std::int64_t in_f = cfg_.in_features, bm = cfg_.bm;
+  const std::int64_t Ib = w_pack_.col_blocks();
+  float* w = weight_.data();
+  const float* dw = dweight_.data();
+  backward_plan().update_nest([&](const std::int64_t* ind) {
+    const std::int64_t ob = ind[0], o0 = ob * bm;
+    for (std::int64_t i = o0 * in_f; i < (o0 + bm) * in_f; ++i)
+      w[i] -= lr * dw[i];
+    for (std::int64_t o = o0; o < o0 + bm; ++o)
+      bias_[static_cast<std::size_t>(o)] -= lr * dbias_[static_cast<std::size_t>(o)];
+    for (std::int64_t ib = 0; ib < Ib; ++ib) {
+      tpp::pack_block(w_pack_, w, w_blocked_.data(), ob, ib);
+      tpp::pack_block(wt_pack_, w, wt_blocked_.data(), ib, ob);
+    }
+  });
 }
 
 }  // namespace plt::dl

@@ -9,9 +9,12 @@
 //   A = blocked weights W[Mb][Kb][bk][bm] (bf16 blocks VNNI2-packed),
 //   B = the activation itself (k-panels strided), C = the output.
 //
-// Backward (fp32 master weights, the usual mixed-precision convention):
-//   dI = dO x W          (uses a blocked transposed weight copy)
-//   dW = dO^T-free GEMM on transposed activations, dbias = column sums
+// Backward (fp32 master weights, the usual mixed-precision convention), as
+// PARLOOPER nests on the team, each output block owned by one thread:
+//   g  = act'(preact) * dO, dbias = row sums of g, g^T  (nest over out blocks)
+//   dW += I^T-free BRGEMM: dW tile (in x out view) = I x g^T, beta = 1
+//   dI = W^T x g         (the forward contraction on a blocked fp32 W^T)
+// and the SGD update rewrites W and both blocked copies in one nest.
 #pragma once
 
 #include <memory>
@@ -23,6 +26,7 @@
 #include "dl/tensor.hpp"
 #include "kernels/gemm_kernel.hpp"
 #include "tpp/binary.hpp"
+#include "tpp/pack.hpp"
 #include "tpp/unary.hpp"
 
 namespace plt::dl {
@@ -58,7 +62,8 @@ class FcLayer {
                       float* output) const;
 
   // grad_out: S x out fp32. Accumulates dweight_/dbias_ and writes grad_in
-  // (S x in) unless null. `input` must be the forward input.
+  // (S x in) unless null. `input` must be the forward input. Like forward,
+  // falls back to a 1-wide token block when bn does not divide S.
   void backward(const float* input, const float* grad_out, float* grad_in);
 
   void zero_grad();
@@ -77,10 +82,17 @@ class FcLayer {
 
   // Re-packs the blocked operands after an external weight edit.
   void repack();
+  // The packed operands: W in [out/bm][in/bk] blocks (dtype, bf16 VNNI2) and
+  // fp32 W^T in [in/bk][out/bm] blocks of bm x bk (bk fastest).
+  const void* blocked_weight() const { return w_blocked_.data(); }
+  const float* blocked_weight_t() const {
+    return reinterpret_cast<const float*>(wt_blocked_.data());
+  }
 
  private:
-  // Pre-planned forward pipeline for one token count: the BRGEMM/bias/act
-  // TPP handles (kernel-cache entries resolved once) and the compiled
+  // Pre-planned forward pipeline for one token count (the dgrad pass runs
+  // the same contraction shape on W^T): the BRGEMM/bias/act TPP handles
+  // (kernel-cache entries resolved once) and the compiled
   // LoopNest plan. Without this, every forward_tokens call re-derives five
   // cache keys through ostringstream — a fixed cost that dominates
   // small-token serving requests (the LLM decode path calls with S=1).
@@ -88,18 +100,20 @@ class FcLayer {
   // scratch; concurrent serving uses per-lane replicas.
   struct TokenPlan;
   TokenPlan& token_plan(std::int64_t S) const;
+  // The backward and update nests, built on the first backward call.
+  struct BackwardPlan;
+  BackwardPlan& backward_plan();
 
   FcConfig cfg_;
+  tpp::PackDesc w_pack_, wt_pack_;  // weight_ -> w_blocked_ / wt_blocked_
   Tensor weight_, bias_, dweight_, dbias_;
   mutable std::vector<std::pair<std::int64_t, std::unique_ptr<TokenPlan>>>
       token_plans_;
+  std::unique_ptr<BackwardPlan> backward_plan_;
   mutable Tensor preact_;                // saved pre-activation (S x out)
   AlignedBuffer<std::uint8_t> w_blocked_;      // forward A operand
   AlignedBuffer<std::uint8_t> wt_blocked_;     // dgrad A operand (W^T), fp32
   mutable AlignedBuffer<std::uint8_t> in_stage_;   // bf16 input panel
-  std::unique_ptr<kernels::GemmKernel> dgrad_gemm_;
-  tpp::BinaryTPP bias_tpp_;
-  tpp::UnaryTPP act_tpp_;
 };
 
 }  // namespace plt::dl

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
+#include "tpp/brgemm.hpp"
 #include "tpp/equations.hpp"
 #include "tpp/transforms.hpp"
 

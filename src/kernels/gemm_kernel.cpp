@@ -1,6 +1,7 @@
 #include "kernels/gemm_kernel.hpp"
 
 #include "common/check.hpp"
+#include "tpp/pack.hpp"
 
 namespace plt::kernels {
 
@@ -93,43 +94,18 @@ std::size_t GemmKernel::c_elems() const {
   return static_cast<std::size_t>(cfg_.M * cfg_.N);
 }
 
+// A (col-major M x K) -> A[Mb][Kb][bk][bm]; B (col-major K x N) ->
+// B[Nb][Kb][bn][bk], i.e. the row-major N x K view packed k-fastest.
 void GemmKernel::pack_a(const float* flat, void* blocked) const {
-  const std::int64_t Mb = cfg_.Mb(), Kb = cfg_.Kb();
-  const std::int64_t bm = cfg_.bm, bk = cfg_.bk;
-  if (cfg_.dtype == DType::F32) {
-    tpp::block_a_matrix(flat, static_cast<float*>(blocked), cfg_.M, cfg_.K, bm,
-                        bk);
-    return;
-  }
-  std::vector<bf16> tmp(static_cast<std::size_t>(bm * bk));
-  bf16* out = static_cast<bf16*>(blocked);
-  for (std::int64_t im = 0; im < Mb; ++im)
-    for (std::int64_t ik = 0; ik < Kb; ++ik) {
-      for (std::int64_t kk = 0; kk < bk; ++kk)
-        for (std::int64_t mm = 0; mm < bm; ++mm)
-          tmp[static_cast<std::size_t>(mm + kk * bm)] = bf16::from_f32(
-              flat[(im * bm + mm) + (ik * bk + kk) * cfg_.M]);
-      tpp::vnni2_pack(tmp.data(), out + (im * Kb + ik) * a_block_elems_, bm,
-                      bk, bm);
-    }
+  tpp::pack_blocked(tpp::PackDesc{cfg_.M, cfg_.K, 1, cfg_.M, cfg_.bm, cfg_.bk,
+                                  tpp::PackOrder::kRowsFastest, cfg_.dtype},
+                    flat, blocked);
 }
 
 void GemmKernel::pack_b(const float* flat, void* blocked) const {
-  const std::int64_t Nb = cfg_.Nb(), Kb = cfg_.Kb();
-  const std::int64_t bn = cfg_.bn, bk = cfg_.bk;
-  for (std::int64_t in = 0; in < Nb; ++in)
-    for (std::int64_t ik = 0; ik < Kb; ++ik)
-      for (std::int64_t nn = 0; nn < bn; ++nn)
-        for (std::int64_t kk = 0; kk < bk; ++kk) {
-          const float v = flat[(ik * bk + kk) + (in * bn + nn) * cfg_.K];
-          const std::size_t idx = static_cast<std::size_t>(
-              (((in * Kb + ik) * bn + nn) * bk) + kk);
-          if (cfg_.dtype == DType::F32) {
-            static_cast<float*>(blocked)[idx] = v;
-          } else {
-            static_cast<bf16*>(blocked)[idx] = bf16::from_f32(v);
-          }
-        }
+  tpp::pack_blocked(tpp::PackDesc{cfg_.N, cfg_.K, cfg_.K, 1, cfg_.bn, cfg_.bk,
+                                  tpp::PackOrder::kColsFastest, cfg_.dtype},
+                    flat, blocked);
 }
 
 void GemmKernel::unpack_c(const void* blocked, float* flat) const {

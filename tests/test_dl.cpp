@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/threading.hpp"
 #include "dl/attention.hpp"
 #include "dl/bert.hpp"
 #include "dl/fc_layer.hpp"
 #include "dl/llm.hpp"
 #include "dl/sparse_fc.hpp"
 #include "test_utils.hpp"
+#include "tpp/unary.hpp"
 
 namespace plt::dl {
 namespace {
@@ -150,6 +153,267 @@ TEST(FcLayer, BackwardWeightGradMatchesFiniteDifference) {
     for (std::int64_t s = 0; s < S; ++s)
       want += w_loss[static_cast<std::size_t>(s * out_f + o)];
     EXPECT_NEAR(fc.grad_bias()[static_cast<std::size_t>(o)], want, 1e-3f);
+  }
+}
+
+// --- backward/update pipeline: determinism, accuracy, packing --------------
+
+// Runs the body under one execution runtime, restoring the previous one.
+struct RuntimeScope {
+  Runtime saved = runtime();
+  explicit RuntimeScope(Runtime r) { set_runtime(r); }
+  ~RuntimeScope() { set_runtime(saved); }
+};
+
+// The system libgomp is not built with ThreadSanitizer, so under TSan the
+// omp leg would report the runtime's own uninstrumented synchronisation;
+// there the sweep covers serial and pool (the tier-1 build keeps omp).
+#if defined(__SANITIZE_THREAD__)
+constexpr Runtime kRuntimes[] = {Runtime::kSerial, Runtime::kPool};
+#else
+constexpr Runtime kRuntimes[] = {Runtime::kSerial, Runtime::kPool,
+                                 Runtime::kOpenMP};
+#endif
+
+// The BERT-base-scaled FC shapes at 128 tokens, bf16, default 32 blocks.
+FcConfig bert_fc(std::int64_t in_f, std::int64_t out_f, FcActivation act) {
+  FcConfig c;
+  c.in_features = in_f;
+  c.out_features = out_f;
+  c.tokens = 128;
+  c.act = act;
+  c.dtype = DType::BF16;
+  return c;
+}
+
+const FcConfig kBertFcShapes[] = {
+    bert_fc(256, 256, FcActivation::kNone),
+    bert_fc(256, 1024, FcActivation::kGelu),
+    bert_fc(1024, 256, FcActivation::kNone)};
+
+struct FcRun {
+  std::vector<float> x, g, y, gi, dw, db, pre;
+  std::vector<float> w;  // weights the pass ran with
+};
+
+// forward + backward of a fresh layer (seeded) on seeded inputs.
+FcRun run_fc(const FcConfig& c, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  FcLayer fc(c, rng);
+  FcRun r;
+  r.x = random_vec(static_cast<std::size_t>(c.tokens * c.in_features), seed + 1);
+  r.g = random_vec(static_cast<std::size_t>(c.tokens * c.out_features), seed + 2);
+  r.y.resize(r.g.size());
+  r.gi.resize(r.x.size());
+  fc.forward(r.x.data(), r.y.data());
+  fc.zero_grad();
+  fc.backward(r.x.data(), r.g.data(), r.gi.data());
+  const auto copy = [](const Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.numel());
+  };
+  r.dw = copy(fc.grad_weight());
+  r.db = copy(fc.grad_bias());
+  r.pre = copy(fc.pre_activation());
+  r.w = copy(fc.weight());
+  return r;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Every output block has one owner reducing it in a fixed order, so the
+// gradients are bitwise identical under every runtime (and, in the
+// test_dl_parts2 leg, on a 2-partition pool).
+TEST(FcLayer, BackwardBitwiseAcrossRuntimes) {
+  for (const FcConfig& c : kBertFcShapes) {
+    const FcRun want = [&] {
+      RuntimeScope scope(Runtime::kSerial);
+      return run_fc(c, 71);
+    }();
+    for (Runtime rt : kRuntimes) {
+      RuntimeScope scope(rt);
+      const FcRun got = run_fc(c, 71);
+      const std::string what = std::string(runtime_name(rt)) + " " +
+                               std::to_string(c.in_features) + "->" +
+                               std::to_string(c.out_features);
+      EXPECT_TRUE(bitwise_equal(got.y, want.y)) << what << " output";
+      EXPECT_TRUE(bitwise_equal(got.dw, want.dw)) << what << " grad_weight";
+      EXPECT_TRUE(bitwise_equal(got.db, want.db)) << what << " grad_bias";
+      EXPECT_TRUE(bitwise_equal(got.gi, want.gi)) << what << " grad_in";
+    }
+  }
+}
+
+// Bound for a sum of K products of fp32 values the program may round to
+// bf16 (2^-7 per product) and accumulates in fp32: (2^-7 + gamma_K) *
+// sum|a*b|, gamma_K = K u / (1 - K u), u = 2^-24.
+double product_bound(std::int64_t k, double mag) {
+  const double u = std::ldexp(1.0, -24), kd = static_cast<double>(k);
+  return (std::ldexp(1.0, -7) + kd * u / (1.0 - kd * u)) * mag + 1e-30;
+}
+
+// grad_weight, grad_bias and grad_in against fp64 sums over the layer's own
+// weights and saved pre-activation, every element.
+void expect_backward_matches_fp64(const FcConfig& c) {
+  const FcRun r = run_fc(c, 73);
+  const std::int64_t S = c.tokens, I = c.in_features, O = c.out_features;
+  std::vector<float> ga(r.g.size());  // dO through the activation
+  for (std::size_t j = 0; j < ga.size(); ++j) {
+    ga[j] = c.act == FcActivation::kGelu ? tpp::gelu_bwd_scalar(r.g[j], r.pre[j])
+            : c.act == FcActivation::kRelu ? (r.pre[j] > 0.0f ? r.g[j] : 0.0f)
+                                           : r.g[j];
+  }
+  int bad = 0;
+  for (std::int64_t o = 0; o < O; ++o) {
+    double ref = 0.0, mag = 0.0;
+    for (std::int64_t t = 0; t < S; ++t) {
+      ref += ga[static_cast<std::size_t>(t * O + o)];
+      mag += std::fabs(ga[static_cast<std::size_t>(t * O + o)]);
+    }
+    if (!(std::fabs(r.db[static_cast<std::size_t>(o)] - ref) <=
+          product_bound(S, mag)))
+      ++bad;
+    for (std::int64_t i = 0; i < I; ++i) {
+      ref = 0.0, mag = 0.0;
+      for (std::int64_t t = 0; t < S; ++t) {
+        const double p = static_cast<double>(ga[static_cast<std::size_t>(t * O + o)]) *
+                         r.x[static_cast<std::size_t>(t * I + i)];
+        ref += p;
+        mag += std::fabs(p);
+      }
+      if (!(std::fabs(r.dw[static_cast<std::size_t>(o * I + i)] - ref) <=
+            product_bound(S, mag)))
+        ++bad;
+    }
+  }
+  for (std::int64_t t = 0; t < S; ++t)
+    for (std::int64_t i = 0; i < I; ++i) {
+      double ref = 0.0, mag = 0.0;
+      for (std::int64_t o = 0; o < O; ++o) {
+        const double p = static_cast<double>(ga[static_cast<std::size_t>(t * O + o)]) *
+                         r.w[static_cast<std::size_t>(o * I + i)];
+        ref += p;
+        mag += std::fabs(p);
+      }
+      if (!(std::fabs(r.gi[static_cast<std::size_t>(t * I + i)] - ref) <=
+            product_bound(O, mag)))
+        ++bad;
+    }
+  EXPECT_EQ(bad, 0) << I << "->" << O << " at " << S << " tokens";
+}
+
+TEST(FcLayer, BackwardMatchesFp64WithinBound) {
+  for (const FcConfig& c : kBertFcShapes) expect_backward_matches_fp64(c);
+}
+
+// bn = 8 does not divide 12 tokens: dgrad takes the forward's 1-wide token
+// block fallback instead of refusing.
+TEST(FcLayer, BackwardWithTokensNotDivisibleByBn) {
+  FcConfig c = small_fc(16, 24, 12, FcActivation::kRelu, DType::BF16);
+  expect_backward_matches_fp64(c);
+}
+
+// The scalar definition of both packed operands, read from weight().
+void expect_packs_match_weight(FcLayer& fc) {
+  const FcConfig& c = fc.config();
+  const std::int64_t I = c.in_features, O = c.out_features;
+  const std::int64_t bm = c.bm, bk = c.bk, Ob = O / bm, Ib = I / bk;
+  const float* w = fc.weight().data();
+  const std::int64_t w_blk = c.dtype == DType::BF16 ? tpp::vnni2_elems(bm, bk)
+                                                    : bm * bk;
+  int bad = 0;
+  for (std::int64_t ob = 0; ob < Ob; ++ob)
+    for (std::int64_t ib = 0; ib < Ib; ++ib)
+      for (std::int64_t mm = 0; mm < bm; ++mm)
+        for (std::int64_t kk = 0; kk < bk; ++kk) {
+          const float v = w[(ob * bm + mm) * I + ib * bk + kk];
+          const std::int64_t blk = (ob * Ib + ib) * w_blk;
+          if (c.dtype == DType::BF16) {
+            const bf16 got = static_cast<const bf16*>(
+                fc.blocked_weight())[blk + ((kk / 2) * bm + mm) * 2 + kk % 2];
+            if (got.bits != bf16::from_f32(v).bits) ++bad;
+          } else {
+            const float got =
+                static_cast<const float*>(fc.blocked_weight())[blk + mm + kk * bm];
+            if (std::memcmp(&got, &v, sizeof v) != 0) ++bad;
+          }
+          // W^T: [in/bk][out/bm] blocks, bk fastest.
+          const float got_t =
+              fc.blocked_weight_t()[(ib * Ob + ob) * bm * bk + kk + mm * bk];
+          if (std::memcmp(&got_t, &v, sizeof v) != 0) ++bad;
+        }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(FcLayer, RepackMatchesScalarReferencePack) {
+  for (DType dt : {DType::BF16, DType::F32}) {
+    // bm != bk catches swapped block roles.
+    FcConfig c = small_fc(48, 64, 16, FcActivation::kGelu, dt);
+    c.bm = 16;
+    c.bk = 8;
+    Xoshiro256 rng(81);
+    FcLayer fc(c, rng);
+    expect_packs_match_weight(fc);  // constructor pack
+
+    auto edit = random_vec(static_cast<std::size_t>(fc.weight().numel()), 82);
+    std::memcpy(fc.weight().data(), edit.data(), edit.size() * sizeof(float));
+    fc.repack();
+    expect_packs_match_weight(fc);
+
+    // sgd_step updates and re-packs in one pass.
+    auto x = random_vec(static_cast<std::size_t>(16 * 48), 83);
+    auto g = random_vec(static_cast<std::size_t>(16 * 64), 84);
+    std::vector<float> y(g.size()), gi(x.size());
+    fc.forward(x.data(), y.data());
+    fc.zero_grad();
+    fc.backward(x.data(), g.data(), gi.data());
+    fc.sgd_step(0.1f);
+    for (std::size_t i = 0; i < edit.size(); ++i) {
+      ASSERT_NEAR(fc.weight()[i], edit[i] - 0.1f * fc.grad_weight()[i], 1e-6f) << i;
+    }
+    expect_packs_match_weight(fc);
+  }
+}
+
+BertConfig small_bert_bf16() {
+  BertConfig cfg;
+  cfg.hidden = 64;
+  cfg.heads = 2;
+  cfg.intermediate = 128;
+  cfg.layers = 2;
+  cfg.seq_len = 32;
+  cfg.batch = 2;  // (batch, head) attention nest of 4 slices
+  cfg.dtype = DType::BF16;
+  cfg.bm = cfg.bn = cfg.bk = 16;
+  return cfg;
+}
+
+// Two training steps (forward, backward, update) from the same seed give
+// bitwise-identical losses under every runtime.
+TEST(BertEncoder, TrainingStepsBitwiseAcrossRuntimes) {
+  const BertConfig cfg = small_bert_bf16();
+  const auto steps = [&](Runtime rt) {
+    RuntimeScope scope(rt);
+    Xoshiro256 rng(91);
+    BertEncoder model(cfg, rng);
+    auto x = random_vec(static_cast<std::size_t>(cfg.tokens() * cfg.hidden), 92);
+    auto target = random_vec(x.size(), 93, -0.5f, 0.5f);
+    std::vector<double> losses;
+    for (int s = 0; s < 2; ++s)
+      losses.push_back(model.training_step(x.data(), target.data(), 0.5f, rng));
+    return losses;
+  };
+  const std::vector<double> want = steps(Runtime::kSerial);
+  ASSERT_NE(std::memcmp(&want[0], &want[1], sizeof(double)), 0)
+      << "the second step must see updated weights";
+  for (Runtime rt : kRuntimes) {
+    const std::vector<double> got = steps(rt);
+    for (std::size_t s = 0; s < want.size(); ++s)
+      EXPECT_EQ(std::memcmp(&got[s], &want[s], sizeof(double)), 0)
+          << runtime_name(rt) << " step " << s << ": " << got[s] << " vs "
+          << want[s];
   }
 }
 

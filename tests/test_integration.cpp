@@ -3,10 +3,10 @@
 // the PARLOOPER executors, and cache behaviour across repeated construction.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <mutex>
 #include <set>
 
-#include "common/timer.hpp"
 #include "kernels/conv_kernel.hpp"
 #include "kernels/gemm_kernel.hpp"
 #include "parlooper/jit_backend.hpp"
@@ -128,8 +128,14 @@ TEST_P(GeneratedSpecFuzz, EveryGeneratedSpecCoversIterationSpaceOnce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedSpecFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
-// ---------- tuner end-to-end: best spec actually runs fastest-or-close ----------
+// ---------- tuner end-to-end: the chosen spec is reproducible ----------
 
+// The logical half of reproducibility: the same search picks the same spec
+// again, and the winner rebuilt from its TuneResult computes the base
+// schedule's C bitwise. The timing half (a standalone re-run of the winner
+// reaching the tuner's GFLOPS) is a median-of-N bench row,
+// bench_fig4_tvm_compare's tuner_rerun_over_tuned_<n>, gated by
+// check_overhead.py --tuner.
 TEST(Integration, TunerBestSpecIsReproducible) {
   kernels::GemmConfig base;
   base.M = base.N = base.K = 128;
@@ -143,25 +149,45 @@ TEST(Integration, TunerBestSpecIsReproducible) {
   tuner::TuneOptions topts;
   topts.warmup = 1;
   topts.iters = 2;
-  tuner::GemmTuner tuner(base, topts);
-  const auto results = tuner.run(cands);
+  // Benchmark only the model's favourite: the pick depends on the model
+  // ranking alone, never on which measurement happened to be fastest.
+  topts.model_top_k = 1;
+  const tuner::GemmTuner tuner(base, topts);
+  const auto first = tuner.run(cands);
+  const auto again = tuner.run(cands);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(again.size(), 1u);
+  const tuner::TuneCandidate& best = first.front().candidate;
+  EXPECT_EQ(again.front().candidate.spec, best.spec);
+  EXPECT_EQ(again.front().candidate.k_blocking, best.k_blocking);
+  EXPECT_EQ(again.front().candidate.m_blocking, best.m_blocking);
+  EXPECT_EQ(again.front().candidate.n_blocking, best.n_blocking);
+  EXPECT_GT(first.front().gflops, 0.0);
 
-  // Re-running the winning candidate standalone reproduces a comparable
-  // rate (within 2x — generous, CI timing is noisy).
-  kernels::GemmConfig best = base;
-  best.loop_spec = results.front().candidate.spec;
-  best.k_blocking = results.front().candidate.k_blocking;
-  best.m_blocking = results.front().candidate.m_blocking;
-  best.n_blocking = results.front().candidate.n_blocking;
-  kernels::GemmKernel kernel(best);
-  AlignedBuffer<std::uint8_t> a(kernel.a_elems() * 4), b(kernel.b_elems() * 4),
-      c(kernel.c_elems() * 4);
-  a.zero();
-  b.zero();
-  const double s = time_best_seconds(
-      [&] { kernel.run(a.data(), b.data(), c.data()); }, 1, 3);
-  const double gf = gflops(kernel.flops(), s);
-  EXPECT_GT(gf, results.front().gflops * 0.5);
+  // The full search measures every candidate and sorts best first.
+  topts.model_top_k = 0;
+  const auto all = tuner::GemmTuner(base, topts).run(cands);
+  ASSERT_EQ(all.size(), cands.size());
+  for (std::size_t i = 1; i < all.size(); ++i)
+    EXPECT_GE(all[i - 1].gflops, all[i].gflops);
+
+  // Rebuilt from the result, the winner's schedule changes no bit of C.
+  kernels::GemmConfig tuned = base;
+  tuned.loop_spec = best.spec;
+  tuned.k_blocking = best.k_blocking;
+  tuned.m_blocking = best.m_blocking;
+  tuned.n_blocking = best.n_blocking;
+  const kernels::GemmKernel ref_kernel(base), kernel(tuned);
+  const auto a_flat = random_vec(static_cast<std::size_t>(128 * 128), 5);
+  const auto b_flat = random_vec(a_flat.size(), 6);
+  AlignedBuffer<float> a(kernel.a_elems()), b(kernel.b_elems()),
+      c(kernel.c_elems()), c_ref(kernel.c_elems());
+  kernel.pack_a(a_flat.data(), a.data());
+  kernel.pack_b(b_flat.data(), b.data());
+  kernel.run(a.data(), b.data(), c.data());
+  ref_kernel.run(a.data(), b.data(), c_ref.data());
+  EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)), 0)
+      << best.spec;
 }
 
 // ---------- cache behaviour across modules ----------
