@@ -23,10 +23,6 @@ FcConfig fc_cfg(const BertConfig& c, std::int64_t in_f, std::int64_t out_f,
   return f;
 }
 
-void add_into(const float* a, const float* b, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
 // The (batch, head) attention nest. A head slice is S rows of dh columns of
 // a [tokens][hidden] activation; forward reads the q/k/v slices and writes
 // the context slice and the head's probs_t block, backward reads those and
@@ -88,7 +84,6 @@ BertEncoderLayer::BertEncoderLayer(const BertConfig& cfg, Xoshiro256& rng)
       attn_bwd_nest_(attention_nest(cfg, /*backward=*/true)) {
   PLT_CHECK(cfg_.hidden % cfg_.heads == 0, "bert: heads must divide hidden");
   const std::int64_t T = cfg_.tokens(), H = cfg_.hidden;
-  x_.reshape({T, H});
   qb_.reshape({T, H});
   kb_.reshape({T, H});
   vb_.reshape({T, H});
@@ -108,7 +103,6 @@ void BertEncoderLayer::forward(const float* x, float* y,
                                Xoshiro256& rng) const {
   const std::int64_t T = cfg_.tokens(), H = cfg_.hidden, S = cfg_.seq_len;
   const std::int64_t dh = cfg_.head_dim();
-  std::memcpy(x_.data(), x, static_cast<std::size_t>(T * H) * sizeof(float));
 
   q_.forward(x, qb_.data());
   k_.forward(x, kb_.data());
@@ -123,60 +117,52 @@ void BertEncoderLayer::forward(const float* x, float* y,
                  probs_t_.data() + (b * cfg_.heads + h) * S * S);
   });
 
+  // The dropout masks are written and read only when dropout_p > 0.
   attn_out_.forward(ctx_.data(), proj_.data());
   if (cfg_.dropout_p > 0.0f) {
     tpp::DropoutFwd drop{T, H, cfg_.dropout_p};
     drop(proj_.data(), rng, proj_.data(), mask1_.data());
-  } else {
-    std::fill(mask1_.begin(), mask1_.end(), std::uint8_t{1});
   }
-  add_into(x, proj_.data(), res1_.data(), T * H);
-  ln1_.forward(res1_.data(), ln1_out_.data());
+  ln1_.forward_sum(x, proj_.data(), res1_.data(), ln1_out_.data());
 
   inter_.forward(ln1_out_.data(), inter_in_.data());
   out_.forward(inter_in_.data(), proj2_.data());
   if (cfg_.dropout_p > 0.0f) {
     tpp::DropoutFwd drop{T, H, cfg_.dropout_p};
     drop(proj2_.data(), rng, proj2_.data(), mask2_.data());
-  } else {
-    std::fill(mask2_.begin(), mask2_.end(), std::uint8_t{1});
   }
-  add_into(ln1_out_.data(), proj2_.data(), res2_.data(), T * H);
-  ln2_.forward(res2_.data(), y);
+  ln2_.forward_sum(ln1_out_.data(), proj2_.data(), res2_.data(), y);
 }
 
-void BertEncoderLayer::backward(const float* dy, float* dx) {
+void BertEncoderLayer::backward(const float* x, const float* dy, float* dx) {
   const std::int64_t T = cfg_.tokens(), H = cfg_.hidden, S = cfg_.seq_len;
   const std::int64_t dh = cfg_.head_dim();
 
-  Tensor dres2({T, H}), dproj2({T, H}), dinter({T, cfg_.intermediate});
-  Tensor dln1({T, H}), dres1({T, H}), dproj({T, H}), dctx({T, H});
-  Tensor dqb({T, H}), dkb({T, H}), dvb({T, H}), tmp({T, H});
+  Tensor dres2({T, H}), dinter({T, cfg_.intermediate}), dln1({T, H});
+  Tensor dctx({T, H}), dqb({T, H}), dkb({T, H}), dvb({T, H});
+  Tensor dropped;  // the dropout branch's gradient, when dropout_p > 0
+  // The gradient of a residual branch out = skip + dropout(branch): the
+  // skip path's gradient itself without dropout.
+  const auto through_dropout = [&](const float* g, const std::uint8_t* mask) {
+    if (cfg_.dropout_p == 0.0f) return g;
+    dropped.reshape({T, H});
+    tpp::DropoutBwd drop{T, H, cfg_.dropout_p};
+    drop(g, mask, dropped.data());
+    return static_cast<const float*>(dropped.data());
+  };
 
   ln2_.backward(dy, res2_.data(), dres2.data());
 
   // res2 = ln1_out + dropout(proj2): the gradient reaches both summands.
-  std::memcpy(dproj2.data(), dres2.data(),
-              static_cast<std::size_t>(T * H) * sizeof(float));
-  if (cfg_.dropout_p > 0.0f) {
-    tpp::DropoutBwd drop{T, H, cfg_.dropout_p};
-    drop(dres2.data(), mask2_.data(), dproj2.data());
-  }
-
-  out_.backward(inter_in_.data(), dproj2.data(), dinter.data());
+  out_.backward(inter_in_.data(), through_dropout(dres2.data(), mask2_.data()),
+                dinter.data());
   inter_.backward(ln1_out_.data(), dinter.data(), dln1.data());
-  add_into(dln1.data(), dres2.data(), dln1.data(), T * H);  // + residual path
+  // dln1 += dres2 (the residual path), fused into the layernorm nest. Its
+  // input gradient is the residual path's share of dx.
+  ln1_.backward_sum(dln1.data(), dres2.data(), res1_.data(), dx);
 
-  ln1_.backward(dln1.data(), res1_.data(), dres1.data());
-
-  std::memcpy(dproj.data(), dres1.data(),
-              static_cast<std::size_t>(T * H) * sizeof(float));
-  if (cfg_.dropout_p > 0.0f) {
-    tpp::DropoutBwd drop{T, H, cfg_.dropout_p};
-    drop(dres1.data(), mask1_.data(), dproj.data());
-  }
-
-  attn_out_.backward(ctx_.data(), dproj.data(), dctx.data());
+  attn_out_.backward(ctx_.data(), through_dropout(dx, mask1_.data()),
+                     dctx.data());
 
   const AttentionHead head{S, dh, H};
   attn_bwd_nest_([&](const std::int64_t* ind) {
@@ -188,14 +174,11 @@ void BertEncoderLayer::backward(const float* dy, float* dx) {
                   dvb.data() + off);
   });
 
-  // dx accumulates the residual path plus the three projections' dgrads.
-  std::memcpy(dx, dres1.data(), static_cast<std::size_t>(T * H) * sizeof(float));
-  q_.backward(x_.data(), dqb.data(), tmp.data());
-  add_into(dx, tmp.data(), dx, T * H);
-  k_.backward(x_.data(), dkb.data(), tmp.data());
-  add_into(dx, tmp.data(), dx, T * H);
-  v_.backward(x_.data(), dvb.data(), tmp.data());
-  add_into(dx, tmp.data(), dx, T * H);
+  // dx += the three projections' input gradients, each added inside its
+  // dgrad contraction.
+  q_.backward(x, dqb.data(), dx, /*accumulate_grad_in=*/true);
+  k_.backward(x, dkb.data(), dx, /*accumulate_grad_in=*/true);
+  v_.backward(x, dvb.data(), dx, /*accumulate_grad_in=*/true);
 }
 
 void BertEncoderLayer::zero_grad() {
@@ -285,7 +268,8 @@ double BertEncoder::training_step(const float* x, const float* target,
   for (std::int64_t l = cfg_.layers - 1; l >= 0; --l) {
     auto& layer = *layers_[static_cast<std::size_t>(l)];
     layer.zero_grad();
-    layer.backward(grad.data(), dx.data());
+    layer.backward(acts_[static_cast<std::size_t>(l)].data(), grad.data(),
+                   dx.data());
     std::swap(grad, dx);
     layer.sgd_step(lr);
   }
@@ -340,7 +324,7 @@ SparseBertEncoderLayer::SparseBertEncoderLayer(const BertConfig& cfg,
 }
 
 void SparseBertEncoderLayer::forward(const float* x, float* y) const {
-  const std::int64_t T = cfg_.tokens(), H = cfg_.hidden, S = cfg_.seq_len;
+  const std::int64_t H = cfg_.hidden, S = cfg_.seq_len;
   const std::int64_t dh = cfg_.head_dim();
   q_->forward(x, qb_.data());
   k_->forward(x, kb_.data());
@@ -354,12 +338,10 @@ void SparseBertEncoderLayer::forward(const float* x, float* y) const {
                    probs_t_.data() + (b * cfg_.heads + h) * S * S);
     }
   attn_out_->forward(ctx_.data(), proj_.data());
-  add_into(x, proj_.data(), res1_.data(), T * H);
-  ln1_.forward(res1_.data(), ln1_out_.data());
+  ln1_.forward_sum(x, proj_.data(), res1_.data(), ln1_out_.data());
   inter_->forward(ln1_out_.data(), inter_out_.data());
   out_->forward(inter_out_.data(), proj2_.data());
-  add_into(ln1_out_.data(), proj2_.data(), res2_.data(), T * H);
-  ln2_.forward(res2_.data(), y);
+  ln2_.forward_sum(ln1_out_.data(), proj2_.data(), res2_.data(), y);
 }
 
 double SparseBertEncoderLayer::dense_flops() const {

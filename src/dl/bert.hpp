@@ -48,8 +48,8 @@ class BertEncoderLayer {
   void forward(const float* x, float* y, Xoshiro256& rng) const;
 
   // dy -> dx; accumulates all parameter gradients. Must follow a forward
-  // call (uses the saved activations).
-  void backward(const float* dy, float* dx);
+  // call (uses the saved activations); `x` must be that call's input.
+  void backward(const float* x, const float* dy, float* dx);
 
   void zero_grad();
   void sgd_step(float lr);
@@ -64,7 +64,7 @@ class BertEncoderLayer {
   parlooper::LoopNest attn_fwd_nest_, attn_bwd_nest_;
 
   // Saved forward state (one training step in flight at a time).
-  mutable Tensor x_, qb_, kb_, vb_, ctx_, proj_, res1_, ln1_out_, inter_in_,
+  mutable Tensor qb_, kb_, vb_, ctx_, proj_, res1_, ln1_out_, inter_in_,
       proj2_, res2_;
   mutable Tensor probs_t_;  // [batch*heads][seq][seq]
   mutable std::vector<std::uint8_t> mask1_, mask2_;

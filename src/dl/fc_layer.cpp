@@ -49,7 +49,9 @@ parlooper::AccessMap contraction_access_map(const Contraction& g,
 // The compiled contraction for one token count, built once per S and
 // memoized so the serving/decode hot path touches no cache-key machinery.
 // The bias/activation epilogue TPPs exist only on forward plans that use
-// them.
+// them; bf16 forward plans also convert the fp32 input to the bf16 panel
+// (one vector pass on the calling thread: a team nest over token blocks
+// costs more in region dispatch than the conversion it would split).
 struct FcLayer::TokenPlan {
   Contraction g;
   std::int64_t bn;
@@ -57,6 +59,7 @@ struct FcLayer::TokenPlan {
   tpp::UnaryTPP zero;
   std::optional<tpp::BinaryTPP> bias;
   std::optional<tpp::UnaryTPP> act;
+  std::optional<tpp::UnaryTPP> stage;
   parlooper::LoopNest nest;
 
   TokenPlan(const Contraction& c, std::int64_t S, std::int64_t bn_in,
@@ -89,12 +92,17 @@ struct FcLayer::TokenPlan {
                                  c.bm, bn_in, c.M, c.M, DType::F32,
                                  DType::F32, 1.0f});
     }
+    if (forward && c.dtype == DType::BF16) {
+      stage.emplace(tpp::UnaryDesc{tpp::UnaryKind::kCopy, c.K, S, c.K, c.K,
+                                   DType::F32, DType::BF16, 1.0f});
+    }
   }
 
-  // C = A x B; `epilogue(c_tile, im, is)` runs on each C tile right after
-  // its last K block.
+  // C = A x B, or C += A x B with `accumulate`; `epilogue(c_tile, im, is)`
+  // runs on each C tile right after its last K block.
   template <typename Epilogue>
-  void run(const void* a, const void* b, float* c, Epilogue&& epilogue) const {
+  void run(const void* a, const void* b, float* c, bool accumulate,
+           Epilogue&& epilogue) const {
     const std::int64_t Kb = g.K / g.bk, a_blk = g.a_blk();
     const std::size_t esz = dtype_size(g.dtype);
     const char* ap = static_cast<const char*>(a);
@@ -102,7 +110,7 @@ struct FcLayer::TokenPlan {
     nest([&](const std::int64_t* ind) {
       const std::int64_t ik = ind[0], im = ind[1], is = ind[2];
       float* c_tile = c + im * g.bm + is * bn * g.M;
-      if (ik == 0) zero(nullptr, c_tile);
+      if (ik == 0 && !accumulate) zero(nullptr, c_tile);
       brgemm(ap + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
              bp + static_cast<std::size_t>(ik * g.bk + is * bn * g.K) * esz,
              c_tile, 1);
@@ -274,7 +282,7 @@ FcLayer::BackwardPlan& FcLayer::backward_plan() {
 
 void FcLayer::forward_tokens(const float* input, std::int64_t S,
                              float* output) const {
-  const std::int64_t in_f = cfg_.in_features, out_f = cfg_.out_features;
+  const std::int64_t out_f = cfg_.out_features;
   PLT_CHECK(S <= cfg_.tokens, "fc: token count exceeds configured maximum");
 
   const TokenPlan& tp = token_plan(S);
@@ -283,15 +291,13 @@ void FcLayer::forward_tokens(const float* input, std::int64_t S,
   // The B operand: a row-major [S][in] activation is a column-major
   // in x S matrix with ld = in.
   const void* b_panel = input;
-  if (cfg_.dtype == DType::BF16) {
-    bf16* staged = reinterpret_cast<bf16*>(in_stage_.data());
-    for (std::int64_t i = 0; i < S * in_f; ++i)
-      staged[i] = bf16::from_f32(input[i]);
-    b_panel = staged;
+  if (tp.stage) {
+    (*tp.stage)(input, in_stage_.data());
+    b_panel = in_stage_.data();
   }
 
   float* pre = preact_.data();
-  tp.run(w_blocked_.data(), b_panel, output,
+  tp.run(w_blocked_.data(), b_panel, output, /*accumulate=*/false,
          [&](float* c_tile, std::int64_t im, std::int64_t is) {
            if (tp.bias) (*tp.bias)(bias_.data() + im * cfg_.bm, c_tile, c_tile);
            if (tp.act) {
@@ -311,7 +317,7 @@ void FcLayer::zero_grad() {
 }
 
 void FcLayer::backward(const float* input, const float* grad_out,
-                       float* grad_in) {
+                       float* grad_in, bool accumulate_grad_in) {
   const std::int64_t S = cfg_.tokens, in_f = cfg_.in_features,
                      out_f = cfg_.out_features, bm = cfg_.bm, bk = cfg_.bk;
   const BackwardPlan& bp = backward_plan();
@@ -342,7 +348,7 @@ void FcLayer::backward(const float* input, const float* grad_out,
   });
 
   if (grad_in != nullptr) {
-    bp.dgrad.run(wt_blocked_.data(), g, grad_in,
+    bp.dgrad.run(wt_blocked_.data(), g, grad_in, accumulate_grad_in,
                  [](float*, std::int64_t, std::int64_t) {});
   }
 }

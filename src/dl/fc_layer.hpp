@@ -62,9 +62,12 @@ class FcLayer {
                       float* output) const;
 
   // grad_out: S x out fp32. Accumulates dweight_/dbias_ and writes grad_in
-  // (S x in) unless null. `input` must be the forward input. Like forward,
-  // falls back to a 1-wide token block when bn does not divide S.
-  void backward(const float* input, const float* grad_out, float* grad_in);
+  // (S x in) unless null; with `accumulate_grad_in` the input gradient is
+  // added to grad_in in the contraction (a residual branch joining). `input`
+  // must be the forward input. Like forward, falls back to a 1-wide token
+  // block when bn does not divide S.
+  void backward(const float* input, const float* grad_out, float* grad_in,
+                bool accumulate_grad_in = false);
 
   void zero_grad();
   void sgd_step(float lr);  // updates master weights and re-packs

@@ -27,7 +27,9 @@ SparseFcLayer::SparseFcLayer(SparseFcConfig cfg, const Tensor& dense_weight,
             cm.data(), cfg_.out_features, cfg_.in_features, cfg_.block,
             cfg_.block, cfg_.dtype, cfg_.sparsity);
       }()),
-      bias_(bias) {
+      bias_(bias),
+      bias_add_(tpp::BinaryKind::kAdd, cfg_.out_features, cfg_.tokens,
+                DType::F32, tpp::Broadcast::kCol) {
   kernels::SpmmConfig sc;
   sc.M = cfg_.out_features;
   sc.N = cfg_.tokens;
@@ -38,7 +40,12 @@ SparseFcLayer::SparseFcLayer(SparseFcConfig cfg, const Tensor& dense_weight,
   sc.dtype = cfg_.dtype;
   sc.loop_spec = cfg_.loop_spec;
   kernel_ = std::make_unique<kernels::SpmmKernel>(sc);
+  if (cfg_.gelu) {
+    gelu_.emplace(tpp::UnaryKind::kGelu, cfg_.out_features, cfg_.tokens);
+  }
   if (cfg_.dtype == DType::BF16) {
+    stage_.emplace(tpp::UnaryKind::kCopy, cfg_.in_features, cfg_.tokens,
+                   DType::F32, DType::BF16);
     in_stage_.resize(static_cast<std::size_t>(cfg_.tokens * cfg_.in_features));
   }
 }
@@ -46,23 +53,15 @@ SparseFcLayer::SparseFcLayer(SparseFcConfig cfg, const Tensor& dense_weight,
 void SparseFcLayer::forward(const float* input, float* output) const {
   // Row-major [S][in] is column-major in x S — exactly the dense B panel.
   const void* b = input;
-  if (cfg_.dtype == DType::BF16) {
-    for (std::int64_t i = 0; i < cfg_.tokens * cfg_.in_features; ++i)
-      in_stage_[static_cast<std::size_t>(i)] = bf16::from_f32(input[i]);
+  if (stage_) {
+    (*stage_)(input, in_stage_.data());
     b = in_stage_.data();
   }
   kernel_->run(a_, b, output);
 
   // Bias + optional activation on the full (out x S col-major) output.
-  const std::int64_t S = cfg_.tokens, out_f = cfg_.out_features;
-  for (std::int64_t s = 0; s < S; ++s) {
-    float* col = output + s * out_f;
-    for (std::int64_t o = 0; o < out_f; ++o) {
-      float v = col[o] + bias_[static_cast<std::size_t>(o)];
-      if (cfg_.gelu) v = tpp::gelu_fwd_scalar(v);
-      col[o] = v;
-    }
-  }
+  bias_add_(bias_.data(), output, output);
+  if (gelu_) (*gelu_)(output, output);
 }
 
 double SparseFcLayer::effective_flops() const { return kernel_->flops(a_); }

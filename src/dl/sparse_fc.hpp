@@ -5,10 +5,13 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "dl/tensor.hpp"
 #include "kernels/spmm_kernel.hpp"
+#include "tpp/binary.hpp"
+#include "tpp/unary.hpp"
 
 namespace plt::dl {
 
@@ -44,6 +47,10 @@ class SparseFcLayer {
   tpp::BcscMatrix a_;
   std::unique_ptr<kernels::SpmmKernel> kernel_;
   Tensor bias_;
+  // The epilogue on the out x S col-major output: bias add, then GeLU.
+  tpp::BinaryTPP bias_add_;
+  std::optional<tpp::UnaryTPP> gelu_;
+  std::optional<tpp::UnaryTPP> stage_;    // fp32 -> bf16 input panel
   mutable AlignedBuffer<bf16> in_stage_;  // bf16 activation panel
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/cpu_features.hpp"
+#include "tpp/eltwise_micro.hpp"
 #include "tpp/kernel_cache.hpp"
 
 namespace plt::tpp {
@@ -71,6 +73,13 @@ BinaryFn make_in1(const BinaryDesc& d) {
 }
 
 BinaryFn make_kernel(const BinaryDesc& d) {
+#if defined(PLT_KERNELS_AVX512)
+  if (effective_isa() >= IsaLevel::kAVX512) {
+    if (const detail::BinaryKernel k = detail::binary_avx512(d)) {
+      return [d, k](const void* a, const void* b, void* o) { k(d, a, b, o); };
+    }
+  }
+#endif
   switch (d.in0) {
     case DType::F32: return make_in1<float>(d);
     case DType::BF16: return make_in1<bf16>(d);

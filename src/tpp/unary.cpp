@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/cpu_features.hpp"
+#include "tpp/eltwise_micro.hpp"
 #include "tpp/kernel_cache.hpp"
 
 namespace plt::tpp {
@@ -146,6 +148,15 @@ UnaryFn make_typed(const UnaryDesc& d) {
 }
 
 UnaryFn make_kernel(const UnaryDesc& d) {
+#if defined(PLT_KERNELS_AVX512)
+  if (effective_isa() >= IsaLevel::kAVX512) {
+    if (const detail::UnaryKernel k = detail::unary_avx512(d)) {
+      return [d, k](const void* in, void* out, const void* extra) {
+        k(d, in, out, extra);
+      };
+    }
+  }
+#endif
   if (d.in == DType::F32 && d.out == DType::F32) return make_typed<float, float>(d);
   if (d.in == DType::BF16 && d.out == DType::BF16) return make_typed<bf16, bf16>(d);
   if (d.in == DType::F32 && d.out == DType::BF16) return make_typed<float, bf16>(d);

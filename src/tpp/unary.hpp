@@ -1,5 +1,8 @@
 // Unary TPPs: elementwise operators, activation functions and reductions on
 // 2D column-major tensors (Section II-A's zero_tpp, relu_tpp, ... family).
+// On AVX-512 hosts the fp32 activations, copies and the column reduction run
+// vectorized (tpp/eltwise_micro.hpp has the numerics contract); every other
+// kind, and every kind under PLT_ISA=scalar, runs the scalar loops.
 #pragma once
 
 #include <functional>
@@ -31,7 +34,7 @@ class UnaryTPP {
   std::shared_ptr<std::function<void(const void*, void*, const void*)>> fn_;
 };
 
-// Reference (scalar, fp32-accumulate) math shared by kernels and tests.
+// The scalar path's per-element math (fp32), also used by tests.
 float unary_scalar_op(UnaryKind kind, float x, float alpha);
 float gelu_fwd_scalar(float x);
 float gelu_bwd_scalar(float grad, float x);

@@ -10,6 +10,7 @@
 #include "dl/llm.hpp"
 #include "dl/sparse_fc.hpp"
 #include "test_utils.hpp"
+#include "tpp/equations.hpp"
 #include "tpp/unary.hpp"
 
 namespace plt::dl {
@@ -315,6 +316,23 @@ TEST(FcLayer, BackwardWithTokensNotDivisibleByBn) {
   expect_backward_matches_fp64(c);
 }
 
+// With accumulate_grad_in the input gradient is added to grad_in inside the
+// dgrad contraction: grad_in = r + W^T g up to the fp32 summation order.
+TEST(FcLayer, BackwardAccumulatesIntoGradIn) {
+  const FcConfig c = bert_fc(256, 1024, FcActivation::kGelu);
+  const FcRun r = run_fc(c, 75);
+  Xoshiro256 rng(75);
+  FcLayer fc(c, rng);  // the same seeded layer as run_fc
+  std::vector<float> y(r.y.size());
+  fc.forward(r.x.data(), y.data());
+  auto acc = random_vec(r.gi.size(), 76);
+  std::vector<float> want(acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) want[i] = acc[i] + r.gi[i];
+  fc.zero_grad();
+  fc.backward(r.x.data(), r.g.data(), acc.data(), /*accumulate_grad_in=*/true);
+  expect_allclose(acc.data(), want.data(), acc.size(), 1e-5f, "grad_in");
+}
+
 // The scalar definition of both packed operands, read from weight().
 void expect_packs_match_weight(FcLayer& fc) {
   const FcConfig& c = fc.config();
@@ -415,6 +433,105 @@ TEST(BertEncoder, TrainingStepsBitwiseAcrossRuntimes) {
           << runtime_name(rt) << " step " << s << ": " << got[s] << " vs "
           << want[s];
   }
+}
+
+// --- layernorm over token blocks ---------------------------------------------
+
+struct LnRun {
+  std::vector<float> out, sum, grad_sum, gi, dgamma, dbeta;
+};
+
+// forward + backward of a fresh LayerNorm (random gamma/beta) on seeded
+// inputs; `fused` runs forward_sum/backward_sum with residual operands.
+LnRun run_layernorm(std::int64_t T, std::int64_t H, bool fused) {
+  const std::size_t n = static_cast<std::size_t>(T * H);
+  LayerNorm ln(T, H);
+  Xoshiro256 rng(101);
+  ln.gamma().randn_uniform(rng, 0.5f, 1.5f);
+  ln.beta().randn_uniform(rng, -0.5f, 0.5f);
+  const auto a = random_vec(n, 102, -2.0f, 2.0f), b = random_vec(n, 103);
+  const auto res = random_vec(n, 105);
+  LnRun r;
+  r.grad_sum = random_vec(n, 104);
+  r.out.resize(n);
+  r.sum.resize(n);
+  r.gi.resize(n);
+  ln.zero_grad();
+  if (fused) {
+    ln.forward_sum(a.data(), b.data(), r.sum.data(), r.out.data());
+    ln.backward_sum(r.grad_sum.data(), res.data(), r.sum.data(), r.gi.data());
+  } else {
+    ln.forward(a.data(), r.out.data());
+    ln.backward(r.grad_sum.data(), a.data(), r.gi.data());
+  }
+  const auto copy = [](const Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.numel());
+  };
+  r.dgamma = copy(ln.grad_gamma());
+  r.dbeta = copy(ln.grad_beta());
+  return r;
+}
+
+// The block count follows the shape (36 tokens: 3 blocks of 12), dgamma and
+// dbeta are combined in block order by one owner: every runtime (and the
+// 2-partition pool of test_dl_parts2) gives the serial bits.
+TEST(LayerNorm, ForwardBackwardBitwiseAcrossRuntimes) {
+  for (const auto& [T, H] : {std::pair<std::int64_t, std::int64_t>{128, 256},
+                             {36, 40}}) {
+    for (bool fused : {false, true}) {
+      const LnRun want = [&] {
+        RuntimeScope scope(Runtime::kSerial);
+        return run_layernorm(T, H, fused);
+      }();
+      for (Runtime rt : kRuntimes) {
+        RuntimeScope scope(rt);
+        const LnRun got = run_layernorm(T, H, fused);
+        const std::string what = std::string(runtime_name(rt)) + " " +
+                                 std::to_string(T) + "x" + std::to_string(H) +
+                                 (fused ? " fused" : "");
+        EXPECT_TRUE(bitwise_equal(got.out, want.out)) << what << " out";
+        EXPECT_TRUE(bitwise_equal(got.sum, want.sum)) << what << " sum";
+        EXPECT_TRUE(bitwise_equal(got.grad_sum, want.grad_sum)) << what;
+        EXPECT_TRUE(bitwise_equal(got.gi, want.gi)) << what << " grad_in";
+        EXPECT_TRUE(bitwise_equal(got.dgamma, want.dgamma)) << what << " dgamma";
+        EXPECT_TRUE(bitwise_equal(got.dbeta, want.dbeta)) << what << " dbeta";
+      }
+    }
+  }
+}
+
+// Against the whole-tensor layernorm equations: the residual sums, the
+// output and grad_in are per row and bitwise equal; dgamma/dbeta only sum in
+// another order.
+TEST(LayerNorm, FusedBlocksMatchWholeTensorEquations) {
+  const std::int64_t T = 36, H = 40;
+  const std::size_t n = static_cast<std::size_t>(T * H);
+  const LnRun r = run_layernorm(T, H, /*fused=*/true);
+  LayerNorm params(T, H);  // the same seeded gamma/beta as run_layernorm
+  Xoshiro256 rng(101);
+  params.gamma().randn_uniform(rng, 0.5f, 1.5f);
+  params.beta().randn_uniform(rng, -0.5f, 0.5f);
+  const auto a = random_vec(n, 102, -2.0f, 2.0f), b = random_vec(n, 103);
+  auto g = random_vec(n, 104);
+  const auto res = random_vec(n, 105);
+  std::vector<float> sum(n), out(n), gi(n), mean(static_cast<std::size_t>(T)),
+      var(mean.size()), dgamma(static_cast<std::size_t>(H)), dbeta(dgamma.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    sum[i] = a[i] + b[i];
+    g[i] = g[i] + res[i];
+  }
+  tpp::LayerNormFwd{T, H, 1e-5f}(sum.data(), params.gamma().data(),
+                                 params.beta().data(), mean.data(), var.data(),
+                                 out.data());
+  tpp::LayerNormBwd{T, H}(g.data(), sum.data(), params.gamma().data(),
+                          mean.data(), var.data(), gi.data(), dgamma.data(),
+                          dbeta.data());
+  EXPECT_TRUE(bitwise_equal(r.sum, sum));
+  EXPECT_TRUE(bitwise_equal(r.out, out));
+  EXPECT_TRUE(bitwise_equal(r.grad_sum, g));
+  EXPECT_TRUE(bitwise_equal(r.gi, gi));
+  expect_allclose(r.dgamma.data(), dgamma.data(), dgamma.size(), 1e-5f, "dgamma");
+  expect_allclose(r.dbeta.data(), dbeta.data(), dbeta.size(), 1e-5f, "dbeta");
 }
 
 TEST(Attention, ForwardMatchesNaive) {
